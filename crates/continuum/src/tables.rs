@@ -504,6 +504,7 @@ fn overload_counters(signal: bool) -> OverloadCounters {
 
     let broker = UdpBroker::spawn(
         "127.0.0.1:0",
+        1,
         BrokerConfig {
             retry_timeout: Duration::from_millis(200),
             max_retries: 10,

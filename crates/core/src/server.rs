@@ -76,7 +76,7 @@ impl ProvLightServer {
         topics: &[String],
         factory: impl Fn(usize) -> Arc<Mutex<dyn Translator>>,
     ) -> Result<ProvLightServer, NetError> {
-        let broker = UdpBroker::spawn(bind, BrokerConfig::default()).map_err(NetError::Io)?;
+        let broker = UdpBroker::spawn(bind, 1, BrokerConfig::default()).map_err(NetError::Io)?;
         let addr = broker.local_addr();
         let shutdown = Arc::new(AtomicBool::new(false));
         let decode_errors = Arc::new(AtomicU64::new(0));

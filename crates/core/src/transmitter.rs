@@ -40,14 +40,13 @@
 use crate::api::CaptureError;
 use crate::config::CaptureConfig;
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
-use mqtt_sn::net::{entropy_seed, jitter_backoff, UdpClient};
+use mqtt_sn::net::{entropy_seed, Backoff, UdpClient};
 use mqtt_sn::{ClientConfig, ClientEvent, ClientState, NetError, QoS, ReturnCode};
 use parking_lot::Mutex;
 use prov_codec::frame::Envelope;
 use prov_codec::json::{records_to_json, JsonStyle};
 use prov_model::Record;
 use prov_wal::{Wal, WalConfig};
-use rand::{rngs::StdRng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -693,7 +692,8 @@ struct Link {
     topic_id: u16,
     config: CaptureConfig,
     connected: bool,
-    backoff: Duration,
+    /// Reconnect schedule (jittered by [`RECONNECT_JITTER`]).
+    backoff: Backoff,
     next_attempt: Instant,
     /// Broker forgot our registration (PUBACK `InvalidTopicId`): re-register
     /// on the next service pass instead of full reconnection.
@@ -702,8 +702,6 @@ struct Link {
     /// Record count per in-flight message id, so payloads recovered from
     /// the dead-letter queue keep accurate drop/replay accounting.
     inflight_records: HashMap<u16, usize>,
-    /// Backoff jitter source (see [`RECONNECT_JITTER`]).
-    rng: StdRng,
     stats: Arc<StatsCell>,
     /// Latest broker-advertised congestion level (0 clear / 1 soft /
     /// 2 hard). Stays 0 when [`CaptureConfig::backpressure`] is off.
@@ -728,14 +726,16 @@ impl Link {
             topic,
             topic_id,
             connected: true,
-            backoff: config
-                .reconnect_initial_backoff
-                .max(Duration::from_millis(1)),
+            backoff: Backoff::new(
+                config.reconnect_initial_backoff,
+                config.reconnect_max_backoff,
+                RECONNECT_JITTER,
+                entropy_seed(),
+            ),
             next_attempt: Instant::now(),
             reregister: false,
             buffer,
             inflight_records: HashMap::new(),
-            rng: StdRng::seed_from_u64(entropy_seed()),
             stats,
             congestion_level: 0,
             pace_until: Instant::now(),
@@ -792,12 +792,8 @@ impl Link {
     fn mark_disconnected(&mut self) {
         if self.connected {
             self.connected = false;
-            self.backoff = self
-                .config
-                .reconnect_initial_backoff
-                .max(Duration::from_millis(1));
-            self.next_attempt =
-                Instant::now() + jitter_backoff(self.backoff, RECONNECT_JITTER, &mut self.rng);
+            self.backoff.reset();
+            self.next_attempt = Instant::now() + self.backoff.next_delay();
         }
     }
 
@@ -931,10 +927,7 @@ impl Link {
                 self.congestion_level = 0;
                 self.pace_until = Instant::now();
                 self.stats.reconnects.fetch_add(1, Ordering::Relaxed);
-                self.backoff = self
-                    .config
-                    .reconnect_initial_backoff
-                    .max(Duration::from_millis(1));
+                self.backoff.reset();
                 // Session resumption may have remapped the topic id (the
                 // broker can hand out a different one after a restart).
                 if let Some(id) = self.client.topic_id(&self.topic) {
@@ -944,21 +937,14 @@ impl Link {
                 self.replay();
             }
             Err(e) => {
-                let cap = self
-                    .config
-                    .reconnect_max_backoff
-                    .max(Duration::from_millis(1));
-                self.next_attempt =
-                    Instant::now() + jitter_backoff(self.backoff, RECONNECT_JITTER, &mut self.rng);
-                self.backoff = if e.is_transient() {
-                    (self.backoff * 2).min(cap)
-                } else {
+                self.next_attempt = Instant::now() + self.backoff.next_delay();
+                if !e.is_transient() {
                     // Fatal errors (protocol rejection) are not going away
                     // soon; jump straight to the ceiling but keep trying —
                     // an operator fixing the broker should not require
                     // restarting every edge device.
-                    cap
-                };
+                    self.backoff.saturate();
+                }
             }
         }
     }
@@ -1357,7 +1343,7 @@ mod tests {
     /// most `ceil(total_bytes / max_payload)` publishes.
     #[test]
     fn queued_batches_coalesce_into_bounded_publishes() {
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
         let max_payload = 4096usize;
         let config = CaptureConfig {
             max_payload,
@@ -1413,7 +1399,7 @@ mod tests {
     /// split rather than killing the transmitter with a failed send.
     #[test]
     fn oversized_json_envelope_is_split_not_dropped() {
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
         let config = CaptureConfig {
             binary: false,
             ..CaptureConfig::default()
@@ -1470,7 +1456,7 @@ mod tests {
     /// counted); the transmitter survives and later records still flow.
     #[test]
     fn unsendable_single_record_is_dropped_not_fatal() {
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
         let config = CaptureConfig {
             compression: false,
             ..CaptureConfig::default()
@@ -1517,7 +1503,7 @@ mod tests {
     /// `max_payload: 1` degenerates to one envelope per queued command.
     #[test]
     fn tiny_max_payload_disables_coalescing() {
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
         let config = CaptureConfig {
             max_payload: 1,
             ..CaptureConfig::default()
@@ -1608,7 +1594,7 @@ mod tests {
 
     #[test]
     fn congestion_pacing_state_machine() {
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
         // Tiny RAM cap so a single buffered record counts as pressure.
         let config = CaptureConfig {
             buffer_max_records: 2,
@@ -1643,7 +1629,7 @@ mod tests {
 
     #[test]
     fn backpressure_off_counts_signals_without_reacting() {
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
         let config = CaptureConfig {
             backpressure: false,
             ..CaptureConfig::default()
@@ -1669,6 +1655,7 @@ mod tests {
         // QoS >= 1 publish with `ReturnCode::Congestion`.
         let broker = UdpBroker::spawn(
             "127.0.0.1:0",
+            1,
             BrokerConfig {
                 congestion_soft: 0,
                 congestion_hard: 0,
@@ -1740,7 +1727,7 @@ mod tests {
         assert!(!is_low_priority(&wf_end));
         assert!(!is_low_priority(&record(1, 0)));
 
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
         let link = test_link(&broker, "shed", CaptureConfig::default());
         let mut batch = vec![begin, record(1, 0), wf_begin, wf_end];
         shed_low_priority(&link, &mut batch);

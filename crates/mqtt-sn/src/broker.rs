@@ -97,7 +97,7 @@ pub struct BrokerStats {
     /// unacknowledged outbound messages across all sessions).
     pub backlog_high_water: u64,
     /// State snapshot encode/decode round-trips that failed (see
-    /// `UdpBroker::snapshot` in [`crate::net`]).
+    /// `UdpBroker::snapshot_to_file` in [`crate::net`]).
     pub snapshot_failures: u64,
     /// Publishes this shard forwarded into a cross-shard ring (sharded
     /// gateway: the publish was accepted here, but some subscribers live
@@ -470,10 +470,11 @@ impl Session {
 
 /// The broker state machine.
 ///
-/// `Clone` snapshots the complete session/registry state — the basis of
-/// restart persistence: a crashed gateway can be respawned from a snapshot
-/// (see `UdpBroker::spawn_resuming` in [`crate::net`]) without losing
-/// durable sessions or topic registrations.
+/// [`Broker::encode_state`] serializes the complete session/registry
+/// state — the basis of restart persistence: a crashed gateway respawns
+/// from its snapshot file (see `UdpBroker::spawn_from_file` in
+/// [`crate::net`]) without losing durable sessions or topic
+/// registrations.
 #[derive(Clone, Debug)]
 pub struct Broker<A: Clone + Eq + Hash> {
     config: BrokerConfig,
@@ -1632,9 +1633,9 @@ impl<A: PersistAddr> Broker<A> {
     /// Serializes the complete broker state — config, topic registry,
     /// sessions (QoS handshake state, subscriptions, buffered messages),
     /// fan-out order, and stats — into a version-tagged byte blob.
-    /// `UdpBroker::snapshot_to_file` wraps this in a checksummed,
-    /// atomically-written file so a gateway survives process death, the
-    /// durable analogue of the in-memory [`Broker::clone`] snapshot.
+    /// `UdpBroker::snapshot_to_file` writes one such section per shard
+    /// into a checksummed, atomically-written file so a gateway survives
+    /// process death.
     pub fn encode_state(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.push(STATE_VERSION);

@@ -21,9 +21,8 @@
 //!   topic→shard-mask cache, and the bounded lock-free forwarding rings
 //!   that carry pre-encoded publishes across shard boundaries;
 //! * [`net`] — bindings of the sans-io cores to real `std::net::UdpSocket`s
-//!   (threaded single-lock broker, N-shard broker with per-shard serve
-//!   loops, blocking client) so the library is usable outside the
-//!   simulator.
+//!   (the N-shard gateway with per-shard serve loops, blocking client)
+//!   so the library is usable outside the simulator.
 //!
 //! The same state machines drive both the real sockets and the
 //! discrete-event simulator used for the paper's experiments; QoS
@@ -40,8 +39,7 @@ pub mod topic;
 pub use broker::{Broker, BrokerConfig};
 pub use client::{Client, ClientConfig, ClientEvent, ClientState};
 pub use net::{
-    DatagramFate, DatagramFault, FaultDir, NetError, ReconnectPolicy, ShardedUdpBroker, UdpBroker,
-    UdpClient,
+    Backoff, DatagramFate, DatagramFault, FaultDir, NetError, ReconnectPolicy, UdpBroker, UdpClient,
 };
 pub use packet::{Packet, QoS, ReturnCode, TopicRef};
 pub use router::{shard_for_client, SharedRouter};

@@ -1,9 +1,15 @@
 //! Real-socket bindings of the sans-io cores.
 //!
-//! [`UdpBroker`] runs the [`broker::Broker`](crate::broker::Broker) on a background
-//! thread over a `std::net::UdpSocket`; [`UdpClient`] is a blocking client
-//! suitable for driving from an application or a transmitter thread. These
-//! make the library usable outside the simulator — the integration tests
+//! [`UdpBroker`] is the gateway: N [`broker::Broker`](crate::broker::Broker)
+//! shards over one `std::net::UdpSocket`, each with its own serve loop on a
+//! background thread. With more than one shard a routing front thread owns
+//! the socket's receive side; with one shard the only shard receives from
+//! the socket itself. Its state persists to one atomic snapshot file
+//! ([`UdpBroker::snapshot_to_file`] / [`UdpBroker::spawn_from_file`]).
+//! [`UdpClient`] is a blocking client suitable for driving from an
+//! application or a transmitter thread, and [`Backoff`] is the jittered
+//! reconnect schedule shared by it and the capture transmitter. These make
+//! the library usable outside the simulator — the integration tests
 //! exercise full QoS 2 capture over loopback UDP.
 
 use crate::broker::{wire, Broker, BrokerConfig, BrokerOutputs, BrokerStats};
@@ -14,7 +20,7 @@ use crate::shard::{ForwardFabric, ForwardFrame};
 use crate::Error;
 use crossbeam::queue::ArrayQueue;
 use parking_lot::Mutex;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
@@ -67,396 +73,20 @@ pub trait DatagramFault: Send + Sync + std::fmt::Debug {
 /// deadlines.
 type HeldFrames = Vec<(Instant, SocketAddr, Vec<u8>)>;
 
-/// A broker bound to a UDP socket, served by a background thread.
-pub struct UdpBroker {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    broker: Arc<Mutex<Broker<SocketAddr>>>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl UdpBroker {
-    /// Binds and starts serving. Use `"127.0.0.1:0"` to pick a free port.
-    pub fn spawn(bind: impl ToSocketAddrs, config: BrokerConfig) -> io::Result<UdpBroker> {
-        Self::spawn_inner(bind, Broker::new(config), None)
-    }
-
-    /// [`UdpBroker::spawn`] with a datagram fault-injection plan: every
-    /// inbound and outbound datagram's fate (deliver / drop / duplicate /
-    /// delay) is decided by `fault`. Chaos testing only — the faulted
-    /// paths allocate where the production serve loop does not.
-    pub fn spawn_with_faults(
-        bind: impl ToSocketAddrs,
-        config: BrokerConfig,
-        fault: Arc<dyn DatagramFault>,
-    ) -> io::Result<UdpBroker> {
-        Self::spawn_inner(bind, Broker::new(config), Some(fault))
-    }
-
-    /// Binds and starts serving from a persisted broker snapshot (see
-    /// [`UdpBroker::snapshot`]) — the restart path: durable sessions, topic
-    /// registrations, and buffered messages survive the process boundary,
-    /// the way RSMB's persistence file keeps gateway state across crashes.
-    pub fn spawn_resuming(
-        bind: impl ToSocketAddrs,
-        mut state: Broker<SocketAddr>,
-    ) -> io::Result<UdpBroker> {
-        // The serving thread's monotonic clock restarts at zero; rebase the
-        // snapshot's timers so retransmissions fire promptly.
-        state.reset_clock();
-        Self::spawn_inner(bind, state, None)
-    }
-
-    /// [`UdpBroker::spawn_resuming`] with a datagram fault-injection plan —
-    /// lets a chaos harness keep the same fault schedule running across a
-    /// kill-and-restart of the gateway.
-    pub fn spawn_resuming_with_faults(
-        bind: impl ToSocketAddrs,
-        mut state: Broker<SocketAddr>,
-        fault: Arc<dyn DatagramFault>,
-    ) -> io::Result<UdpBroker> {
-        state.reset_clock();
-        Self::spawn_inner(bind, state, Some(fault))
-    }
-
-    /// Clones the full broker state for later resumption via
-    /// [`UdpBroker::spawn_resuming`].
-    ///
-    /// The serve-loop mutex is held only for a single linear
-    /// serialization pass ([`Broker::encode_state`]); the expensive part —
-    /// rebuilding the per-session maps and buffers — happens outside the
-    /// lock, so in-flight capture traffic is not stalled behind a deep
-    /// clone of the whole gateway state.
-    ///
-    /// A fresh encode that fails to decode means the broker's state
-    /// serialization is broken; the failure is surfaced as an error —
-    /// counted in [`BrokerStats::snapshot_failures`] — rather than a
-    /// panic inside whatever monitoring thread asked for the snapshot.
-    pub fn snapshot(&self) -> Result<Broker<SocketAddr>, Error> {
-        let bytes = self.broker.lock().encode_state();
-        match Broker::decode_state(&bytes) {
-            Ok(b) => Ok(b),
-            Err(e) => {
-                self.broker.lock().note_snapshot_failure();
-                Err(Error::Malformed(e))
-            }
-        }
-    }
-
-    /// Serializes the current broker state to `path` — checksummed and
-    /// written atomically (temp file + rename), so a crash mid-snapshot
-    /// leaves the previous file intact. The durable form of
-    /// [`UdpBroker::snapshot`]: call it periodically (or before a planned
-    /// restart) and resume with [`UdpBroker::spawn_from_file`].
-    pub fn snapshot_to_file(&self, path: impl AsRef<std::path::Path>) -> io::Result<()> {
-        let bytes = self.broker.lock().encode_state();
-        prov_wal::snapshot::write_atomic(path, &bytes)
-    }
-
-    /// Binds and starts serving from a snapshot file written by
-    /// [`UdpBroker::snapshot_to_file`] — the restart path that survives
-    /// gateway *process death*, not just an in-process handover. Corrupt
-    /// or truncated snapshot files fail with
-    /// [`io::ErrorKind::InvalidData`] rather than silently starting empty.
-    pub fn spawn_from_file(
-        bind: impl ToSocketAddrs,
-        path: impl AsRef<std::path::Path>,
-    ) -> io::Result<UdpBroker> {
-        let bytes = prov_wal::snapshot::read(path)?;
-        let state = Broker::decode_state(&bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        Self::spawn_resuming(bind, state)
-    }
-
-    fn spawn_inner(
-        bind: impl ToSocketAddrs,
-        state: Broker<SocketAddr>,
-        fault: Option<Arc<dyn DatagramFault>>,
-    ) -> io::Result<UdpBroker> {
-        let socket = UdpSocket::bind(bind)?;
-        socket.set_read_timeout(Some(Duration::from_millis(10)))?;
-        let local_addr = socket.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let broker = Arc::new(Mutex::with_rank(parking_lot::rank::BROKER, state));
-
-        let thread = {
-            let shutdown = Arc::clone(&shutdown);
-            let broker = Arc::clone(&broker);
-            std::thread::spawn(move || serve(&socket, &broker, &shutdown, fault.as_deref()))
-        };
-
-        Ok(UdpBroker {
-            local_addr,
-            shutdown,
-            broker,
-            thread: Some(thread),
-        })
-    }
-
-    /// The bound address (to hand to clients).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Snapshot of routing statistics.
-    pub fn stats(&self) -> BrokerStats {
-        *self.broker.lock().stats()
-    }
-
-    /// Current buffered-message backlog across all sessions — the input to
-    /// the congestion watermarks. A lagging subscriber (e.g. a slow
-    /// translator) shows up here first.
-    pub fn backlog(&self) -> usize {
-        self.broker.lock().backlog()
-    }
-
-    /// Current congestion level (0 clear / 1 soft / 2 hard) derived from
-    /// the backlog watermarks.
-    pub fn congestion_level(&self) -> u8 {
-        self.broker.lock().congestion_level()
-    }
-
-    /// Stops the serving thread.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    /// Stops the serving thread and returns the broker's *final* state —
-    /// what a crash-consistent persistence layer would have observed at
-    /// the instant of death.
-    ///
-    /// This differs from [`UdpBroker::snapshot`]-then-[`shutdown`]
-    /// (`shutdown`: UdpBroker::shutdown) in one crucial way: a snapshot
-    /// taken while the serve loop is still running rolls back any QoS 2
-    /// handshake that completes between the snapshot and the shutdown, and
-    /// the resumed broker then re-delivers those publishes to subscribers
-    /// whose own dedup state has already been cleared — breaking
-    /// exactly-once downstream. Capturing state *after* the loop stops
-    /// closes that window, so kill/restart chaos harnesses use this.
-    pub fn shutdown_into_state(mut self) -> Result<Broker<SocketAddr>, Error> {
-        self.stop();
-        self.snapshot()
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for UdpBroker {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// Datagrams drained per wakeup before the broker lock is taken. Bounds
-/// both the receive-buffer footprint and how long outbound traffic waits
-/// behind a burst.
+/// Datagrams drained per wakeup: bounds both the front's receive burst and
+/// how many ingress frames a shard processes under one lock acquisition,
+/// so outbound traffic never waits long behind a burst.
 const SERVE_BATCH: usize = 32;
 /// Receive-slot size: the largest datagram MQTT-SN over UDP can carry.
 const SLOT: usize = 64 * 1024;
-
-/// The serve loop: batched datagram I/O around the zero-alloc broker core.
-///
-/// One blocking `recv_from` (bounded by the 10 ms read timeout, so
-/// shutdown and retransmission timers stay responsive) wakes the loop; the
-/// socket is then drained non-blocking into per-slot buffers up to
-/// [`SERVE_BATCH`]. The whole batch — plus any due timer tick — is
-/// processed under a **single** broker lock acquisition through the
-/// recycled [`BrokerOutputs`] buffer, and the outbound datagrams are
-/// flushed after the lock is released. Steady state performs no per-packet
-/// heap allocation and no per-subscriber re-encode.
-fn serve(
-    socket: &UdpSocket,
-    broker: &Mutex<Broker<SocketAddr>>,
-    shutdown: &AtomicBool,
-    fault: Option<&dyn DatagramFault>,
-) {
-    let start = Instant::now();
-    let mut rbuf = vec![0u8; SERVE_BATCH * SLOT];
-    // (datagram length, sender) for receive slot `i`.
-    let mut frames: Vec<(usize, SocketAddr)> = Vec::with_capacity(SERVE_BATCH);
-    let mut out = BrokerOutputs::new();
-    let mut pending_io_errors: u64 = 0;
-    let mut last_tick = Instant::now();
-    // Chaos-mode state: datagrams held back by an injected delay (both
-    // directions) and the owned inbound batch after fate application.
-    // All empty — and the fault branches never taken — in production.
-    let mut held_in: HeldFrames = Vec::new();
-    let mut held_out: HeldFrames = Vec::new();
-    let mut chaos_in: Vec<(SocketAddr, Vec<u8>)> = Vec::new();
-    // Whether the socket is still in non-blocking mode because a restore
-    // after a batch drain failed. Left unrepaired, every "blocking" recv
-    // below would return WouldBlock instantly and the loop would spin
-    // hot; instead the restore is retried each iteration with a short
-    // sleep standing in for the blocking wait until it succeeds.
-    let mut nonblocking = false;
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        if nonblocking {
-            if socket.set_nonblocking(false).is_ok() {
-                nonblocking = false;
-            } else {
-                pending_io_errors += 1;
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        frames.clear();
-        match socket.recv_from(&mut rbuf[..SLOT]) {
-            Ok((n, from)) => frames.push((n, from)),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(_) => {
-                // Transient: on Linux an ICMP port-unreachable from one
-                // departed client surfaces here as ECONNREFUSED — exiting
-                // would kill the broker for everyone. Back off briefly and
-                // keep serving; shutdown still exits via the flag.
-                pending_io_errors += 1;
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
-        // A wake usually means a burst: drain whatever else has already
-        // queued without blocking, up to the batch bound.
-        if !frames.is_empty() && socket.set_nonblocking(true).is_ok() {
-            nonblocking = true;
-            while frames.len() < SERVE_BATCH {
-                let slot = frames.len();
-                match socket.recv_from(&mut rbuf[slot * SLOT..(slot + 1) * SLOT]) {
-                    Ok((n, from)) => frames.push((n, from)),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        pending_io_errors += 1;
-                        break;
-                    }
-                }
-            }
-            if socket.set_nonblocking(false).is_ok() {
-                nonblocking = false;
-            }
-        }
-        let tick_due = last_tick.elapsed() >= Duration::from_millis(100);
-        let held_pending = !held_in.is_empty() || !held_out.is_empty();
-        if frames.is_empty() && !tick_due && pending_io_errors == 0 && !held_pending {
-            continue;
-        }
-        if let Some(f) = fault {
-            // Decide each arrival's fate before the broker lock, and
-            // release datagrams whose injected delay has expired ahead of
-            // this wakeup's arrivals (a released frame is older than
-            // anything just read off the socket).
-            chaos_in.clear();
-            let now = Instant::now();
-            let mut i = 0;
-            while i < held_in.len() {
-                if held_in[i].0 <= now {
-                    let (_, from, bytes) = held_in.swap_remove(i);
-                    chaos_in.push((from, bytes));
-                } else {
-                    i += 1;
-                }
-            }
-            for (slot, &(len, from)) in frames.iter().enumerate() {
-                let datagram = &rbuf[slot * SLOT..slot * SLOT + len];
-                match f.fate(FaultDir::Inbound, datagram) {
-                    DatagramFate::Deliver => chaos_in.push((from, datagram.to_vec())),
-                    DatagramFate::Drop => {}
-                    DatagramFate::Duplicate => {
-                        chaos_in.push((from, datagram.to_vec()));
-                        chaos_in.push((from, datagram.to_vec()));
-                    }
-                    DatagramFate::Delay(dur) => held_in.push((now + dur, from, datagram.to_vec())),
-                }
-            }
-        }
-        let now_ns = start.elapsed().as_nanos() as Nanos;
-        {
-            // One lock acquisition covers the whole batch plus any due
-            // tick; decode errors are counted by the broker, transient
-            // socket errors are folded in here.
-            let mut b = broker.lock();
-            if pending_io_errors > 0 {
-                b.note_io_errors(pending_io_errors);
-                pending_io_errors = 0;
-            }
-            if fault.is_some() {
-                b.on_datagram_batch_into(
-                    now_ns,
-                    chaos_in.iter().map(|(from, bytes)| (*from, &bytes[..])),
-                    &mut out,
-                );
-            } else {
-                b.on_datagram_batch_into(
-                    now_ns,
-                    frames
-                        .iter()
-                        .enumerate()
-                        .map(|(slot, &(len, from))| (from, &rbuf[slot * SLOT..slot * SLOT + len])),
-                    &mut out,
-                );
-            }
-            if tick_due {
-                last_tick = Instant::now();
-                b.on_tick_into(now_ns, &mut out);
-            }
-        }
-        out.emit(
-            |to, bytes| match fault.map(|f| f.fate(FaultDir::Outbound, bytes)) {
-                None | Some(DatagramFate::Deliver) => {
-                    if socket.send_to(bytes, *to).is_err() {
-                        pending_io_errors += 1;
-                    }
-                }
-                Some(DatagramFate::Drop) => {}
-                Some(DatagramFate::Duplicate) => {
-                    for _ in 0..2 {
-                        if socket.send_to(bytes, *to).is_err() {
-                            pending_io_errors += 1;
-                        }
-                    }
-                }
-                Some(DatagramFate::Delay(dur)) => {
-                    held_out.push((Instant::now() + dur, *to, bytes.to_vec()));
-                }
-            },
-        );
-        out.clear();
-        if !held_out.is_empty() {
-            // Flush expired outbound delays; fate was already decided
-            // when the datagram was held, so these send unconditionally.
-            let now = Instant::now();
-            let mut i = 0;
-            while i < held_out.len() {
-                if held_out[i].0 <= now {
-                    let (_, to, bytes) = held_out.swap_remove(i);
-                    if socket.send_to(&bytes, to).is_err() {
-                        pending_io_errors += 1;
-                    }
-                } else {
-                    i += 1;
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded gateway
-// ---------------------------------------------------------------------------
-
 /// Slots per shard ingress ring and per directed cross-shard forwarding
 /// ring. Bounded memory: a full ring is an accounted drop, never a block.
 const SHARD_RING: usize = 1024;
 
-/// Magic prefix of a sharded snapshot file (all-shards-atomic layout).
-const SHARDED_SNAPSHOT_MAGIC: &[u8; 4] = b"PVSH";
-/// Version byte of the sharded snapshot container format.
-const SHARDED_SNAPSHOT_VERSION: u8 = 1;
+/// Magic prefix of a gateway snapshot file (all-shards-atomic layout).
+const SNAPSHOT_MAGIC: &[u8; 4] = b"PVSH";
+/// Version byte of the snapshot container format.
+const SNAPSHOT_VERSION: u8 = 1;
 
 /// One inbound datagram routed to a shard: the sender plus the bytes in
 /// a recycled buffer.
@@ -466,18 +96,19 @@ struct IngressFrame {
     buf: Vec<u8>,
 }
 
-/// Bounded SPSC handoff from the routing front to one shard's serve
+/// Bounded SPSC handoff from the receive side to one shard's serve
 /// loop. Frames recycle through the companion free ring, so the steady
 /// state moves datagrams from the socket to a shard without allocating.
 #[derive(Debug)]
 struct IngressRing {
     data: ArrayQueue<IngressFrame>,
     free: ArrayQueue<IngressFrame>,
-    /// Datagrams the front could not enqueue (ring or pool exhausted);
-    /// the owning shard folds these into [`BrokerStats::drops`].
+    /// Datagrams the receive side could not enqueue (ring or pool
+    /// exhausted); the owning shard folds these into
+    /// [`BrokerStats::drops`].
     drops: AtomicU64,
-    /// Transient socket errors observed by the front; the owning shard
-    /// folds these into [`BrokerStats::io_errors`].
+    /// Transient socket errors observed by the receive side; the owning
+    /// shard folds these into [`BrokerStats::io_errors`].
     io_errors: AtomicU64,
 }
 
@@ -498,8 +129,8 @@ impl IngressRing {
         ring
     }
 
-    /// Front side: copies `bytes` into a recycled frame and enqueues it.
-    /// A full ring is backpressure on one overloaded shard — the
+    /// Receive side: copies `bytes` into a recycled frame and enqueues
+    /// it. A full ring is backpressure on one overloaded shard — the
     /// datagram is dropped and accounted, the front keeps serving the
     /// other shards.
     fn push(&self, from: SocketAddr, bytes: &[u8]) {
@@ -519,20 +150,24 @@ impl IngressRing {
     }
 }
 
-/// An N-shard gateway over one UDP socket: a routing front thread plus
-/// one serve loop per shard.
+/// The MQTT-SN gateway: N broker shards over one UDP socket, one serve
+/// loop per shard.
 ///
-/// The front owns the socket's receive side and dispatches each datagram
-/// to the shard that owns its sender (client-id hash, sniffed from
-/// CONNECT — see [`shard_for_client`]). Each shard runs an independent
-/// [`Broker`] behind its own lock, so publishes from clients on
-/// different shards are processed genuinely in parallel; a publish whose
-/// subscribers live on other shards crosses through the lock-free
+/// Each datagram goes to the shard that owns its sender (client-id hash,
+/// sniffed from CONNECT — see [`shard_for_client`]). Each shard runs an
+/// independent [`Broker`] behind its own lock, so publishes from clients
+/// on different shards are processed genuinely in parallel; a publish
+/// whose subscribers live on other shards crosses through the lock-free
 /// [`ForwardFabric`] as a pre-encoded wire image. Topic-id assignment is
 /// serialized through the [`SharedRouter`] (control plane only); the
 /// per-publish hot path reads a cached, epoch-invalidated topic→shard
 /// bitmask and never takes a global lock.
-pub struct ShardedUdpBroker {
+///
+/// With more than one shard a routing front thread owns the socket's
+/// receive side. With one shard there is no front thread: the only shard
+/// receives from the socket itself, so a control round trip crosses one
+/// thread, as in an unsharded gateway.
+pub struct UdpBroker {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     brokers: Arc<Vec<Mutex<Broker<SocketAddr>>>>,
@@ -540,55 +175,62 @@ pub struct ShardedUdpBroker {
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
-impl ShardedUdpBroker {
+impl UdpBroker {
     /// Binds and starts serving with `shards` shards (clamped to 1..=64).
     /// Use `"127.0.0.1:0"` to pick a free port.
     pub fn spawn(
         bind: impl ToSocketAddrs,
         shards: usize,
         config: BrokerConfig,
-    ) -> io::Result<ShardedUdpBroker> {
+    ) -> io::Result<UdpBroker> {
         let shards = shards.clamp(1, 64);
         let states = (0..shards).map(|_| Broker::new(config.clone())).collect();
         Self::spawn_inner(bind, states, SharedRouter::new(shards), None)
     }
 
-    /// [`ShardedUdpBroker::spawn`] with a datagram fault-injection plan.
-    /// Inbound fates are decided once, at the routing front (before the
-    /// datagram reaches any shard); outbound fates are decided by the
-    /// sending shard's serve loop. Chaos testing only.
+    /// [`UdpBroker::spawn`] with a datagram fault-injection plan. Inbound
+    /// fates are decided once, on the receive side (before the datagram
+    /// reaches any shard); outbound fates are decided by the sending
+    /// shard's serve loop. Chaos testing only — the faulted paths
+    /// allocate where the production serve loop does not.
     pub fn spawn_with_faults(
         bind: impl ToSocketAddrs,
         shards: usize,
         config: BrokerConfig,
         fault: Arc<dyn DatagramFault>,
-    ) -> io::Result<ShardedUdpBroker> {
+    ) -> io::Result<UdpBroker> {
         let shards = shards.clamp(1, 64);
         let states = (0..shards).map(|_| Broker::new(config.clone())).collect();
         Self::spawn_inner(bind, states, SharedRouter::new(shards), Some(fault))
     }
 
-    /// Binds and starts serving from a sharded snapshot file written by
-    /// [`ShardedUdpBroker::snapshot_to_file`]. The shard count comes
-    /// from the file. Every per-shard section must decode before any
-    /// shard starts serving: a partial or corrupt file fails with
+    /// Binds and starts serving from a snapshot file written by
+    /// [`UdpBroker::snapshot_to_file`] — the restart path that survives
+    /// gateway *process death*: durable sessions, topic registrations and
+    /// buffered messages come back, the way RSMB's persistence file keeps
+    /// gateway state across crashes. The shard count comes from the file.
+    /// Every per-shard section must decode before any shard starts
+    /// serving: a partial or corrupt file fails with
     /// [`io::ErrorKind::InvalidData`] and no thread is spawned, rather
     /// than resuming a gateway with some shards silently empty.
+    ///
+    /// A single-broker file from before the gateway was sharded (a
+    /// checksummed raw [`Broker::encode_state`]) resumes as one shard.
     pub fn spawn_from_file(
         bind: impl ToSocketAddrs,
         path: impl AsRef<std::path::Path>,
-    ) -> io::Result<ShardedUdpBroker> {
+    ) -> io::Result<UdpBroker> {
         Self::spawn_from_file_inner(bind, path, None)
     }
 
-    /// [`ShardedUdpBroker::spawn_from_file`] with a fault plan — lets a
-    /// chaos harness keep its fault schedule running across a
-    /// kill-and-restart of the sharded gateway.
+    /// [`UdpBroker::spawn_from_file`] with a fault plan — lets a chaos
+    /// harness keep its fault schedule running across a kill-and-restart
+    /// of the gateway.
     pub fn spawn_from_file_with_faults(
         bind: impl ToSocketAddrs,
         path: impl AsRef<std::path::Path>,
         fault: Arc<dyn DatagramFault>,
-    ) -> io::Result<ShardedUdpBroker> {
+    ) -> io::Result<UdpBroker> {
         Self::spawn_from_file_inner(bind, path, Some(fault))
     }
 
@@ -596,42 +238,10 @@ impl ShardedUdpBroker {
         bind: impl ToSocketAddrs,
         path: impl AsRef<std::path::Path>,
         fault: Option<Arc<dyn DatagramFault>>,
-    ) -> io::Result<ShardedUdpBroker> {
-        let invalid = |e: &'static str| io::Error::new(io::ErrorKind::InvalidData, e);
+    ) -> io::Result<UdpBroker> {
         let bytes = prov_wal::snapshot::read(path)?;
-        let mut r = wire::Reader::new(&bytes);
-        let mut magic = [0u8; 4];
-        for b in &mut magic {
-            *b = r.u8().map_err(invalid)?;
-        }
-        if &magic != SHARDED_SNAPSHOT_MAGIC {
-            return Err(invalid("not a sharded snapshot"));
-        }
-        if r.u8().map_err(invalid)? != SHARDED_SNAPSHOT_VERSION {
-            return Err(invalid("unknown sharded snapshot version"));
-        }
-        let shards = r.u8().map_err(invalid)? as usize;
-        if !(1..=64).contains(&shards) {
-            return Err(invalid("implausible shard count"));
-        }
-        let next_id = r.u16().map_err(invalid)?;
-        let entry_count = r.u32().map_err(invalid)?;
-        let mut entries = Vec::with_capacity(entry_count.min(1 << 16) as usize);
-        for _ in 0..entry_count {
-            let id = r.u16().map_err(invalid)?;
-            let name = r.str().map_err(invalid)?;
-            entries.push((id, name));
-        }
-        // Decode every shard section before any shard starts serving.
-        let mut states = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let section = r.bytes().map_err(invalid)?;
-            let mut state = Broker::decode_state(&section).map_err(invalid)?;
-            state.reset_clock();
-            states.push(state);
-        }
-        let router = SharedRouter::new(shards);
-        router.seed_registry(next_id, entries.iter().map(|(id, n)| (*id, n.as_str())));
+        let (states, router) =
+            decode_snapshot(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         Self::spawn_inner(bind, states, router, fault)
     }
 
@@ -640,7 +250,7 @@ impl ShardedUdpBroker {
         states: Vec<Broker<SocketAddr>>,
         router: SharedRouter,
         fault: Option<Arc<dyn DatagramFault>>,
-    ) -> io::Result<ShardedUdpBroker> {
+    ) -> io::Result<UdpBroker> {
         let shards = states.len().max(1);
         let socket = UdpSocket::bind(bind)?;
         socket.set_read_timeout(Some(Duration::from_millis(10)))?;
@@ -671,9 +281,10 @@ impl ShardedUdpBroker {
                 }
             }
         }
+        let socket = Arc::new(socket);
         let mut threads = Vec::with_capacity(shards + 1);
         for idx in 0..shards {
-            let wsock = socket.try_clone()?;
+            let socket = Arc::clone(&socket);
             let brokers = Arc::clone(&brokers);
             let router = Arc::clone(&router);
             let fabric = Arc::clone(&fabric);
@@ -683,24 +294,26 @@ impl ShardedUdpBroker {
             threads.push(std::thread::spawn(move || {
                 serve_shard(
                     idx,
-                    &wsock,
+                    &socket,
                     &brokers[idx],
                     &router,
                     &fabric,
-                    &ingress[idx],
+                    &ingress,
                     &shutdown,
                     fault.as_deref(),
                 )
             }));
         }
-        {
+        if shards > 1 {
             let shutdown = Arc::clone(&shutdown);
-            let ingress = Arc::clone(&ingress);
             threads.push(std::thread::spawn(move || {
-                route_front(&socket, &ingress, &shutdown, fault.as_deref())
+                let mut front = FrontState::new();
+                while !shutdown.load(Ordering::Relaxed) {
+                    front_step(&mut front, &socket, &ingress, fault.as_deref());
+                }
             }));
         }
-        Ok(ShardedUdpBroker {
+        Ok(UdpBroker {
             local_addr,
             shutdown,
             brokers,
@@ -747,7 +360,9 @@ impl ShardedUdpBroker {
         self.brokers.iter().map(|b| *b.lock().stats()).collect()
     }
 
-    /// Total buffered-message backlog across all shards.
+    /// Total buffered-message backlog across all shards — the input to
+    /// the congestion watermarks. A lagging subscriber (e.g. a slow
+    /// translator) shows up here first.
     pub fn backlog(&self) -> usize {
         self.brokers.iter().map(|b| b.lock().backlog()).sum()
     }
@@ -775,16 +390,34 @@ impl ShardedUdpBroker {
         shard_for_client(client_id, self.brokers.len())
     }
 
-    /// Serializes all shards to `path` as one atomic snapshot file:
-    /// every shard's broker lock is held (in index order) across the
-    /// whole encode, so the per-shard sections are a single consistent
-    /// cut — no shard's section can contain a publish whose cross-shard
-    /// forward is missing from another's.
+    /// Serializes all shards to `path` as one atomic snapshot file
+    /// (checksummed, temp file + rename, so a crash mid-snapshot leaves
+    /// the previous file intact). Every shard's broker lock is held (in
+    /// index order) across the whole encode, so the per-shard sections
+    /// are a single consistent cut — no shard's section can contain a
+    /// publish whose cross-shard forward is missing from another's.
+    ///
+    /// Each section is decoded again outside the locks before anything
+    /// is written: a fresh encode that fails to decode means the broker's
+    /// state serialization is broken. That shard counts it in
+    /// [`BrokerStats::snapshot_failures`] and the call fails with
+    /// [`io::ErrorKind::InvalidData`], leaving the previous file in place
+    /// rather than writing one that restart would refuse.
     pub fn snapshot_to_file(&self, path: impl AsRef<std::path::Path>) -> io::Result<()> {
         let (next_id, entries) = self.router.registry_snapshot();
+        let sections: Vec<Vec<u8>> = {
+            let guards: Vec<_> = self.brokers.iter().map(|b| b.lock()).collect();
+            guards.iter().map(|g| g.encode_state()).collect()
+        };
+        for (shard, section) in sections.iter().enumerate() {
+            if let Err(e) = Broker::<SocketAddr>::decode_state(section) {
+                self.brokers[shard].lock().note_snapshot_failure();
+                return Err(io::Error::new(io::ErrorKind::InvalidData, e));
+            }
+        }
         let mut out = Vec::new();
-        out.extend_from_slice(SHARDED_SNAPSHOT_MAGIC);
-        out.push(SHARDED_SNAPSHOT_VERSION);
+        out.extend_from_slice(SNAPSHOT_MAGIC);
+        out.push(SNAPSHOT_VERSION);
         out.push(self.brokers.len() as u8);
         out.extend_from_slice(&next_id.to_le_bytes());
         out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
@@ -792,11 +425,8 @@ impl ShardedUdpBroker {
             out.extend_from_slice(&id.to_le_bytes());
             wire::put_str(&mut out, name);
         }
-        {
-            let guards: Vec<_> = self.brokers.iter().map(|b| b.lock()).collect();
-            for guard in &guards {
-                wire::put_bytes(&mut out, &guard.encode_state());
-            }
+        for section in &sections {
+            wire::put_bytes(&mut out, section);
         }
         prov_wal::snapshot::write_atomic(path, &out)
     }
@@ -807,11 +437,17 @@ impl ShardedUdpBroker {
     }
 
     /// Stops every serve thread, then snapshots the final state to
-    /// `path` — the sharded analogue of
-    /// [`UdpBroker::shutdown_into_state`]: capturing after the loops
-    /// stop closes the window where an in-flight QoS 2 handshake
-    /// completes between snapshot and shutdown and gets re-delivered on
-    /// resume.
+    /// `path` — what a crash-consistent persistence layer would have
+    /// observed at the instant of death.
+    ///
+    /// This differs from [`UdpBroker::snapshot_to_file`]-then-`shutdown`
+    /// in one crucial way: a snapshot taken while the serve loops are
+    /// still running rolls back any QoS 2 handshake that completes
+    /// between the snapshot and the shutdown, and the resumed gateway
+    /// then re-delivers those publishes to subscribers whose own dedup
+    /// state has already been cleared — breaking exactly-once
+    /// downstream. Capturing after the loops stop closes that window, so
+    /// kill/restart chaos harnesses use this.
     pub fn shutdown_to_file(mut self, path: impl AsRef<std::path::Path>) -> io::Result<()> {
         self.stop();
         self.snapshot_to_file(path)
@@ -825,28 +461,58 @@ impl ShardedUdpBroker {
     }
 }
 
-impl Drop for ShardedUdpBroker {
+impl Drop for UdpBroker {
     fn drop(&mut self) {
         self.stop();
     }
 }
 
-impl UdpBroker {
-    /// Sharded variant of [`UdpBroker::spawn`]: the same socket-facing
-    /// contract served by `shards` parallel broker shards. See
-    /// [`ShardedUdpBroker`].
-    pub fn spawn_sharded(
-        bind: impl ToSocketAddrs,
-        shards: usize,
-        config: BrokerConfig,
-    ) -> io::Result<ShardedUdpBroker> {
-        ShardedUdpBroker::spawn(bind, shards, config)
+/// Decodes a snapshot file body into per-shard brokers plus the shared
+/// router. Accepts the `PVSH` all-shards container, and the single-broker
+/// file written before the gateway was sharded: a raw
+/// [`Broker::encode_state`], whose first byte is a state version (never
+/// `P`), resumed as one shard with the router seeded from its registry.
+fn decode_snapshot(bytes: &[u8]) -> Result<(Vec<Broker<SocketAddr>>, SharedRouter), &'static str> {
+    let Some(body) = bytes.strip_prefix(SNAPSHOT_MAGIC) else {
+        let mut state = Broker::decode_state(bytes)?;
+        state.reset_clock();
+        let router = SharedRouter::new(1);
+        let registry = state.registry_mut();
+        router.seed_registry(registry.next_id(), registry.entries());
+        return Ok((vec![state], router));
+    };
+    let mut r = wire::Reader::new(body);
+    if r.u8()? != SNAPSHOT_VERSION {
+        return Err("unknown sharded snapshot version");
     }
+    let shards = r.u8()? as usize;
+    if !(1..=64).contains(&shards) {
+        return Err("implausible shard count");
+    }
+    let next_id = r.u16()?;
+    let entry_count = r.u32()?;
+    let mut entries = Vec::with_capacity(entry_count.min(1 << 16) as usize);
+    for _ in 0..entry_count {
+        let id = r.u16()?;
+        let name = r.str()?;
+        entries.push((id, name));
+    }
+    // Decode every shard section before any shard starts serving. The
+    // serving threads' monotonic clocks restart at zero; rebase each
+    // shard's timers so retransmissions fire promptly.
+    let mut states = Vec::with_capacity(shards);
+    for _ in 0..shards {
+        let mut state = Broker::decode_state(&r.bytes()?)?;
+        state.reset_clock();
+        states.push(state);
+    }
+    let router = SharedRouter::new(shards);
+    router.seed_registry(next_id, entries.iter().map(|(id, n)| (*id, n.as_str())));
+    Ok((states, router))
 }
 
 /// The message-type byte of an MQTT-SN datagram (handles both 1- and
-/// 3-byte length headers) — enough for the front to route on without a
-/// full decode.
+/// 3-byte length headers) — enough to route on without a full decode.
 fn peek_type(buf: &[u8]) -> Option<u8> {
     match buf.first() {
         Some(0x01) => buf.get(3).copied(),
@@ -904,114 +570,122 @@ fn dispatch_frame(
 
 /// Applies the inbound fault fate (chaos only) and dispatches.
 fn route_in(
-    placement: &mut HashMap<SocketAddr, usize>,
+    front: &mut FrontState,
     ingress: &[IngressRing],
     from: SocketAddr,
-    bytes: &[u8],
+    len: usize,
     fault: Option<&dyn DatagramFault>,
-    held_in: &mut HeldFrames,
 ) {
+    let bytes = &front.rbuf[..len];
     match fault.map(|f| f.fate(FaultDir::Inbound, bytes)) {
-        None | Some(DatagramFate::Deliver) => dispatch_frame(placement, ingress, from, bytes),
+        None | Some(DatagramFate::Deliver) => {
+            dispatch_frame(&mut front.placement, ingress, from, bytes)
+        }
         Some(DatagramFate::Drop) => {}
         Some(DatagramFate::Duplicate) => {
-            dispatch_frame(placement, ingress, from, bytes);
-            dispatch_frame(placement, ingress, from, bytes);
+            dispatch_frame(&mut front.placement, ingress, from, bytes);
+            dispatch_frame(&mut front.placement, ingress, from, bytes);
         }
         Some(DatagramFate::Delay(dur)) => {
-            held_in.push((Instant::now() + dur, from, bytes.to_vec()))
+            front
+                .held_in
+                .push((Instant::now() + dur, from, bytes.to_vec()))
         }
     }
 }
 
-/// The routing front: owns the socket's receive side, sniffs CONNECTs
-/// for client→shard placement, applies inbound chaos fates once, and
-/// hands each datagram to its shard's ingress ring. No broker lock is
-/// ever taken here — the front stays responsive even when one shard is
-/// saturated.
-fn route_front(
+/// Receive-side state: owned by the routing front thread, or by the only
+/// shard's serve loop when the gateway has one shard.
+struct FrontState {
+    rbuf: Vec<u8>,
+    /// Sender → shard, pinned by the sender's CONNECT.
+    placement: HashMap<SocketAddr, usize>,
+    /// Inbound datagrams held back by an injected delay (chaos only).
+    held_in: HeldFrames,
+    /// Whether the socket is still in non-blocking mode because a restore
+    /// after a burst drain failed. Left unrepaired, every "blocking" recv
+    /// would return WouldBlock instantly and the loop would spin hot;
+    /// instead the restore is retried each step with a short sleep
+    /// standing in for the blocking wait until it succeeds.
+    nonblocking: bool,
+}
+
+impl FrontState {
+    fn new() -> FrontState {
+        FrontState {
+            rbuf: vec![0u8; SLOT],
+            placement: HashMap::new(),
+            held_in: Vec::new(),
+            nonblocking: false,
+        }
+    }
+}
+
+/// One receive step: a blocking `recv_from` (bounded by the socket's
+/// 10 ms read timeout, so shutdown and retransmission timers stay
+/// responsive), then a non-blocking drain of the burst up to
+/// [`SERVE_BATCH`]. Expired injected delays are released ahead of this
+/// wakeup's arrivals (a released frame is older than anything just read),
+/// inbound chaos fates are applied once, and each datagram goes to its
+/// owner shard's ingress ring. No broker lock is ever taken here, so the
+/// front stays responsive even when one shard is saturated.
+fn front_step(
+    front: &mut FrontState,
     socket: &UdpSocket,
     ingress: &[IngressRing],
-    shutdown: &AtomicBool,
     fault: Option<&dyn DatagramFault>,
 ) {
-    let mut rbuf = vec![0u8; SLOT];
-    let mut placement: HashMap<SocketAddr, usize> = HashMap::new();
-    let mut held_in: HeldFrames = Vec::new();
-    let mut nonblocking = false;
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
+    let io_errors = &ingress[0].io_errors;
+    if front.nonblocking {
+        if socket.set_nonblocking(false).is_ok() {
+            front.nonblocking = false;
+        } else {
+            io_errors.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(Duration::from_millis(1));
         }
-        if nonblocking {
-            if socket.set_nonblocking(false).is_ok() {
-                nonblocking = false;
+    }
+    if !front.held_in.is_empty() {
+        let now = Instant::now();
+        let mut i = 0;
+        while i < front.held_in.len() {
+            if front.held_in[i].0 <= now {
+                let (_, from, bytes) = front.held_in.swap_remove(i);
+                dispatch_frame(&mut front.placement, ingress, from, &bytes);
             } else {
-                ingress[0].io_errors.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(1));
+                i += 1;
             }
         }
-        // Release expired injected delays ahead of this wakeup's
-        // arrivals (a released frame is older than anything just read).
-        if !held_in.is_empty() {
-            let now = Instant::now();
-            let mut i = 0;
-            while i < held_in.len() {
-                if held_in[i].0 <= now {
-                    let (_, from, bytes) = held_in.swap_remove(i);
-                    dispatch_frame(&mut placement, ingress, from, &bytes);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        match socket.recv_from(&mut rbuf) {
-            Ok((len, from)) => {
-                route_in(
-                    &mut placement,
-                    ingress,
-                    from,
-                    &rbuf[..len],
-                    fault,
-                    &mut held_in,
-                );
-                // A wake usually means a burst: drain it without
-                // blocking, dispatching as we go.
-                if socket.set_nonblocking(true).is_ok() {
-                    nonblocking = true;
-                    let mut budget = SERVE_BATCH - 1;
-                    while budget > 0 {
-                        match socket.recv_from(&mut rbuf) {
-                            Ok((len, from)) => {
-                                budget -= 1;
-                                route_in(
-                                    &mut placement,
-                                    ingress,
-                                    from,
-                                    &rbuf[..len],
-                                    fault,
-                                    &mut held_in,
-                                );
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                            Err(_) => {
-                                ingress[0].io_errors.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
+    }
+    match socket.recv_from(&mut front.rbuf) {
+        Ok((len, from)) => {
+            route_in(front, ingress, from, len, fault);
+            // A wake usually means a burst: drain it without blocking,
+            // dispatching as we go.
+            if socket.set_nonblocking(true).is_ok() {
+                front.nonblocking = true;
+                for _ in 1..SERVE_BATCH {
+                    match socket.recv_from(&mut front.rbuf) {
+                        Ok((len, from)) => route_in(front, ingress, from, len, fault),
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                        Err(_) => {
+                            io_errors.fetch_add(1, Ordering::Relaxed);
+                            break;
                         }
                     }
-                    if socket.set_nonblocking(false).is_ok() {
-                        nonblocking = false;
-                    }
+                }
+                if socket.set_nonblocking(false).is_ok() {
+                    front.nonblocking = false;
                 }
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(_) => {
-                ingress[0].io_errors.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(5));
-            }
+        }
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {}
+        Err(_) => {
+            // Transient: on Linux an ICMP port-unreachable from one
+            // departed client surfaces here as ECONNREFUSED — exiting
+            // would kill the gateway for everyone. Back off briefly and
+            // keep serving; shutdown still exits via the flag.
+            io_errors.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(Duration::from_millis(5));
         }
     }
 }
@@ -1096,7 +770,12 @@ fn route_prep(
 /// forwarding rings, prefetch routing decisions with no lock held,
 /// process everything under a **single** acquisition of this shard's
 /// broker lock (cross-shard ring pushes are lock-free, so they happen
-/// inside it), then flush the socket after unlock.
+/// inside it), then flush the socket after unlock. Steady state performs
+/// no per-packet heap allocation and no per-subscriber re-encode.
+///
+/// The only shard of a one-shard gateway also owns the socket's receive
+/// side: it runs [`front_step`] itself at the top of each iteration,
+/// where the front's blocking receive paces the loop.
 #[allow(clippy::too_many_arguments)]
 fn serve_shard(
     idx: usize,
@@ -1104,10 +783,12 @@ fn serve_shard(
     broker: &Mutex<Broker<SocketAddr>>,
     router: &SharedRouter,
     fabric: &ForwardFabric,
-    ingress: &IngressRing,
+    ingress_rings: &[IngressRing],
     shutdown: &AtomicBool,
     fault: Option<&dyn DatagramFault>,
 ) {
+    let ingress = &ingress_rings[idx];
+    let mut front = (ingress_rings.len() == 1).then(FrontState::new);
     let start = Instant::now();
     let mut out = BrokerOutputs::new();
     let mut batch: Vec<IngressFrame> = Vec::with_capacity(SERVE_BATCH);
@@ -1125,6 +806,11 @@ fn serve_shard(
     loop {
         if shutdown.load(Ordering::Relaxed) {
             return;
+        }
+        // Frames left over from a burst larger than one batch are served
+        // before blocking on the socket again.
+        if let Some(front) = front.as_mut().filter(|_| ingress.data.is_empty()) {
+            front_step(front, socket, ingress_rings, fault);
         }
         batch.clear();
         pubinfo.clear();
@@ -1159,9 +845,12 @@ fn serve_shard(
             && pending_io_errors == 0
             && held_out.is_empty()
         {
-            // Nothing to do: the front owns the blocking recv, so this
-            // loop paces itself.
-            std::thread::sleep(Duration::from_micros(200));
+            // Nothing to do. A front thread owns the blocking recv, so
+            // this loop paces itself; a shard that owns the socket is
+            // paced by its own receive.
+            if front.is_none() {
+                std::thread::sleep(Duration::from_micros(200));
+            }
             continue;
         }
         // Pre-lock routing phase: router reads/writes finish (and the
@@ -1378,23 +1067,60 @@ impl Default for ReconnectPolicy {
     }
 }
 
-impl ReconnectPolicy {
-    /// Applies this policy's jitter to a backoff delay.
-    pub fn jittered(&self, backoff: Duration, rng: &mut impl rand::Rng) -> Duration {
-        jitter_backoff(backoff, self.jitter, rng)
-    }
+/// Jittered exponential backoff: the one reconnect schedule behind both
+/// [`UdpClient::reconnect`] and the capture transmitter's link.
+///
+/// Each [`Backoff::next_delay`] is the current delay `b` spread uniformly
+/// over `[(1 − jitter)·b, (1 + jitter)·b]`; the delay then doubles, up to
+/// the cap. Jitter keeps a fleet of devices that lost the same gateway
+/// from retrying in lockstep (the reconnect stampede).
+#[derive(Debug)]
+pub struct Backoff {
+    initial: Duration,
+    cap: Duration,
+    current: Duration,
+    jitter: f64,
+    rng: StdRng,
 }
 
-/// Spreads `backoff` uniformly over `[(1 − frac)·b, (1 + frac)·b]`.
-/// `frac` is clamped to `[0, 1]`; `frac = 0` returns `backoff` unchanged.
-pub fn jitter_backoff(backoff: Duration, frac: f64, rng: &mut impl rand::Rng) -> Duration {
-    let frac = frac.clamp(0.0, 1.0);
-    if frac == 0.0 {
-        return backoff;
+impl Backoff {
+    /// A schedule starting at `initial` and doubling up to `cap` (both at
+    /// least 1 ms). `jitter` is clamped to `[0, 1]`; 0 disables it. Seed
+    /// with [`entropy_seed`] so simultaneous callers draw distinct streams.
+    pub fn new(initial: Duration, cap: Duration, jitter: f64, seed: u64) -> Backoff {
+        let initial = initial.max(Duration::from_millis(1));
+        Backoff {
+            initial,
+            cap: cap.max(Duration::from_millis(1)),
+            current: initial,
+            jitter: jitter.clamp(0.0, 1.0),
+            rng: StdRng::seed_from_u64(seed),
+        }
     }
-    let unit: f64 = rng.gen(); // [0, 1)
-    let factor = 1.0 - frac + 2.0 * frac * unit;
-    Duration::from_nanos((backoff.as_nanos() as f64 * factor) as u64)
+
+    /// Back to the initial delay (after a successful reconnect).
+    pub fn reset(&mut self) {
+        self.current = self.initial;
+    }
+
+    /// The jittered delay before the next attempt; doubles the delay
+    /// after it, up to the cap.
+    pub fn next_delay(&mut self) -> Duration {
+        let base = self.current;
+        self.current = self.current.saturating_mul(2).min(self.cap);
+        if self.jitter == 0.0 {
+            return base;
+        }
+        let unit: f64 = self.rng.gen(); // [0, 1)
+        let factor = 1.0 - self.jitter + 2.0 * self.jitter * unit;
+        Duration::from_nanos((base.as_nanos() as f64 * factor) as u64)
+    }
+
+    /// Jumps straight to the cap (after a fatal error that will not clear
+    /// soon, but should not stop the retries either).
+    pub fn saturate(&mut self) {
+        self.current = self.cap;
+    }
 }
 
 /// A cheap per-call entropy seed for backoff jitter: wall clock nanos mixed
@@ -1840,8 +1566,12 @@ impl UdpClient {
     /// Returns the number of attempts on success.
     pub fn reconnect(&mut self, policy: &ReconnectPolicy) -> Result<u32, NetError> {
         let started = Instant::now();
-        let mut backoff = policy.initial_backoff;
-        let mut rng = StdRng::seed_from_u64(entropy_seed());
+        let mut backoff = Backoff::new(
+            policy.initial_backoff,
+            policy.max_backoff,
+            policy.jitter,
+            entropy_seed(),
+        );
         let mut last: Option<NetError> = None;
         for attempt in 1..=policy.max_attempts.max(1) {
             // The first attempt always runs (possibly with a trimmed
@@ -1864,7 +1594,7 @@ impl UdpClient {
                 Err(e) => last = Some(e),
             }
             if attempt < policy.max_attempts.max(1) {
-                let mut sleep = policy.jittered(backoff, &mut rng);
+                let mut sleep = backoff.next_delay();
                 if let Some(budget) = policy.max_elapsed {
                     let remaining = budget.saturating_sub(started.elapsed());
                     if remaining.is_zero() {
@@ -1873,7 +1603,6 @@ impl UdpClient {
                     sleep = sleep.min(remaining);
                 }
                 std::thread::sleep(sleep);
-                backoff = (backoff * 2).min(policy.max_backoff);
             }
         }
         Err(last.unwrap_or(NetError::Timeout("reconnect")))
@@ -1888,9 +1617,16 @@ mod tests {
         Duration::from_secs(5)
     }
 
+    /// A snapshot path in a fresh temp directory named after `test`.
+    fn snap_path(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("mqtt-sn-{test}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("gateway.snap")
+    }
+
     #[test]
     fn end_to_end_qos2_over_loopback() {
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
         let addr = broker.local_addr();
 
         let mut sub = UdpClient::connect(addr, ClientConfig::new("subscriber"), timeout()).unwrap();
@@ -1922,7 +1658,7 @@ mod tests {
 
     #[test]
     fn multiple_publishers_fan_into_one_subscriber() {
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
         let addr = broker.local_addr();
         let mut sub = UdpClient::connect(addr, ClientConfig::new("sub"), timeout()).unwrap();
         sub.subscribe("wf/+", QoS::AtLeastOnce, timeout()).unwrap();
@@ -1945,7 +1681,7 @@ mod tests {
 
     #[test]
     fn qos0_publish_recycles_payload_buffer() {
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
         let mut c =
             UdpClient::connect(broker.local_addr(), ClientConfig::new("q0"), timeout()).unwrap();
         let tid = c.register("t/q0", timeout()).unwrap();
@@ -1978,7 +1714,7 @@ mod tests {
 
     #[test]
     fn reconnect_resumes_session_across_broker_restart() {
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
         let addr = broker.local_addr();
 
         let mut sub = UdpClient::connect(addr, ClientConfig::new("rsub"), timeout()).unwrap();
@@ -1991,9 +1727,9 @@ mod tests {
         sub.recv_message(timeout()).unwrap();
 
         // Kill the broker, preserving its state; rebind the same port.
-        let snapshot = broker.snapshot().expect("snapshot round-trips");
-        broker.shutdown();
-        let broker = UdpBroker::spawn_resuming(addr, snapshot).unwrap();
+        let path = snap_path("resume");
+        broker.shutdown_to_file(&path).unwrap();
+        let broker = UdpBroker::spawn_from_file(addr, &path).unwrap();
 
         // Both sides reconnect with backoff; sessions resume (the
         // subscriber's subscription and the publisher's registration both
@@ -2014,23 +1750,27 @@ mod tests {
         let (_, payload) = sub.recv_message(timeout()).unwrap();
         assert_eq!(payload, vec![2]);
         broker.shutdown();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
     fn reconnect_backs_off_until_broker_returns() {
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
         let addr = broker.local_addr();
         let mut client = UdpClient::connect(addr, ClientConfig::new("bk"), timeout()).unwrap();
         client.register("bk/t", timeout()).unwrap();
-        let snapshot = broker.snapshot().expect("snapshot round-trips");
-        broker.shutdown();
+        let path = snap_path("backoff");
+        broker.shutdown_to_file(&path).unwrap();
 
         // Bring the broker back only after a delay: early attempts must
         // fail transiently and the backoff loop must ride them out.
-        let restarter = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(300));
-            UdpBroker::spawn_resuming(addr, snapshot).unwrap()
-        });
+        let restarter = {
+            let path = path.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(300));
+                UdpBroker::spawn_from_file(addr, &path).unwrap()
+            })
+        };
         let attempts = client
             .reconnect(&ReconnectPolicy {
                 initial_backoff: Duration::from_millis(100),
@@ -2047,20 +1787,18 @@ mod tests {
         let broker = restarter.join().unwrap();
         assert_eq!(client.state(), crate::ClientState::Connected);
         broker.shutdown();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
     fn jittered_backoff_stays_within_the_window() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let policy = ReconnectPolicy {
-            jitter: 0.25,
-            ..ReconnectPolicy::default()
-        };
         let base = Duration::from_millis(1000);
+        // Initial delay == cap: every draw spreads the same base.
+        let mut backoff = Backoff::new(base, base, 0.25, 7);
         let (lo, hi) = (Duration::from_millis(750), Duration::from_millis(1250));
         let mut distinct = std::collections::HashSet::new();
         for _ in 0..1000 {
-            let d = policy.jittered(base, &mut rng);
+            let d = backoff.next_delay();
             assert!(d >= lo && d <= hi, "jitter out of window: {d:?}");
             distinct.insert(d);
         }
@@ -2069,10 +1807,20 @@ mod tests {
             "jitter not spreading: {}",
             distinct.len()
         );
-        // frac = 0 disables jitter; out-of-range fractions are clamped.
-        assert_eq!(jitter_backoff(base, 0.0, &mut rng), base);
+        // jitter = 0 disables jitter: the delay doubles up to the cap,
+        // reset returns to the initial delay, saturate jumps to the cap.
+        let ms = Duration::from_millis;
+        let mut plain = Backoff::new(ms(100), ms(350), 0.0, 7);
+        let delays: Vec<_> = (0..4).map(|_| plain.next_delay()).collect();
+        assert_eq!(delays, vec![ms(100), ms(200), ms(350), ms(350)]);
+        plain.reset();
+        assert_eq!(plain.next_delay(), ms(100));
+        plain.saturate();
+        assert_eq!(plain.next_delay(), ms(350));
+        // Out-of-range fractions are clamped.
+        let mut wide = Backoff::new(base, base, 7.5, 7);
         for _ in 0..100 {
-            let d = jitter_backoff(base, 7.5, &mut rng);
+            let d = wide.next_delay();
             assert!(d <= Duration::from_millis(2000), "clamp failed: {d:?}");
         }
         // Two devices that disconnect at the same instant draw different
@@ -2086,7 +1834,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("broker.snap");
 
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
         let addr = broker.local_addr();
         let mut sub = UdpClient::connect(addr, ClientConfig::new("fsub"), timeout()).unwrap();
         sub.subscribe("fs/#", QoS::AtLeastOnce, timeout()).unwrap();
@@ -2136,6 +1884,7 @@ mod tests {
     fn broker_survives_icmp_unreachable_from_departed_client() {
         let broker = UdpBroker::spawn(
             "127.0.0.1:0",
+            1,
             BrokerConfig {
                 retry_timeout: Duration::from_millis(100),
                 ..BrokerConfig::default()
@@ -2166,7 +1915,7 @@ mod tests {
 
     #[test]
     fn garbage_datagrams_are_counted_not_swallowed() {
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
         let addr = broker.local_addr();
         let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
         raw.send_to(b"\xde\xad\xbe\xef not mqtt-sn", addr).unwrap();
@@ -2192,6 +1941,7 @@ mod tests {
     fn snapshot_does_not_stall_capture_traffic() {
         let broker = UdpBroker::spawn(
             "127.0.0.1:0",
+            1,
             BrokerConfig {
                 max_buffered: 1 << 14,
                 ..BrokerConfig::default()
@@ -2229,14 +1979,17 @@ mod tests {
         // round-trip latency.
         let stop = Arc::new(AtomicBool::new(false));
         let broker = Arc::new(broker);
+        let path = snap_path("stall");
         let snapper = {
             let stop = Arc::clone(&stop);
             let broker = Arc::clone(&broker);
+            let path = path.clone();
             std::thread::spawn(move || {
                 let mut snapshots = 0u32;
                 while !stop.load(Ordering::Relaxed) {
-                    let snap = broker.snapshot().expect("snapshot round-trips");
-                    assert!(snap.session_count() >= 1);
+                    broker
+                        .snapshot_to_file(&path)
+                        .expect("snapshot round-trips");
                     snapshots += 1;
                 }
                 snapshots
@@ -2262,6 +2015,8 @@ mod tests {
             worst < Duration::from_secs(1),
             "publish latency spiked to {worst:?} across concurrent snapshots"
         );
+        assert_eq!(broker.stats().snapshot_failures, 0);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -2282,7 +2037,7 @@ mod tests {
 
     #[test]
     fn reconnect_gives_up_within_elapsed_budget() {
-        let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+        let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
         let mut client =
             UdpClient::connect(broker.local_addr(), ClientConfig::new("budget"), timeout())
                 .unwrap();
@@ -2352,7 +2107,7 @@ mod tests {
             retry_timeout: Duration::from_millis(200), // keep the test fast
             ..BrokerConfig::default()
         };
-        let broker = UdpBroker::spawn_with_faults("127.0.0.1:0", config, fault).unwrap();
+        let broker = UdpBroker::spawn_with_faults("127.0.0.1:0", 1, config, fault).unwrap();
         let addr = broker.local_addr();
         let mut sub = UdpClient::connect(addr, ClientConfig::new("sub"), timeout()).unwrap();
         sub.subscribe("f/#", QoS::AtLeastOnce, timeout()).unwrap();
@@ -2392,7 +2147,7 @@ mod tests {
 
     #[test]
     fn sharded_gateway_forwards_across_shards() {
-        let gw = UdpBroker::spawn_sharded("127.0.0.1:0", 4, BrokerConfig::default()).unwrap();
+        let gw = UdpBroker::spawn("127.0.0.1:0", 4, BrokerConfig::default()).unwrap();
         assert_eq!(gw.shards(), 4);
         let addr = gw.local_addr();
 
@@ -2427,7 +2182,7 @@ mod tests {
 
     #[test]
     fn sharded_gateway_same_shard_skips_the_fabric() {
-        let gw = ShardedUdpBroker::spawn("127.0.0.1:0", 4, BrokerConfig::default()).unwrap();
+        let gw = UdpBroker::spawn("127.0.0.1:0", 4, BrokerConfig::default()).unwrap();
         let addr = gw.local_addr();
         let mut sub = UdpClient::connect(addr, ClientConfig::new("localsub"), timeout()).unwrap();
         sub.subscribe("loc/#", QoS::AtLeastOnce, timeout()).unwrap();
@@ -2451,7 +2206,7 @@ mod tests {
 
     #[test]
     fn sharded_gateway_qos2_exactly_once_across_shards() {
-        let gw = ShardedUdpBroker::spawn("127.0.0.1:0", 4, BrokerConfig::default()).unwrap();
+        let gw = UdpBroker::spawn("127.0.0.1:0", 4, BrokerConfig::default()).unwrap();
         let addr = gw.local_addr();
         let mut sub = UdpClient::connect(addr, ClientConfig::new("q2sub"), timeout()).unwrap();
         sub.subscribe("q2/#", QoS::ExactlyOnce, timeout()).unwrap();
@@ -2481,7 +2236,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("gateway.snap");
 
-        let gw = ShardedUdpBroker::spawn("127.0.0.1:0", 4, BrokerConfig::default()).unwrap();
+        let gw = UdpBroker::spawn("127.0.0.1:0", 4, BrokerConfig::default()).unwrap();
         let addr = gw.local_addr();
         let mut sub = UdpClient::connect(addr, ClientConfig::new("psub"), timeout()).unwrap();
         sub.subscribe("ps/#", QoS::AtLeastOnce, timeout()).unwrap();
@@ -2495,7 +2250,7 @@ mod tests {
 
         // Stop all shards, persist one file, restart from it.
         gw.shutdown_to_file(&path).unwrap();
-        let gw = ShardedUdpBroker::spawn_from_file(addr, &path).unwrap();
+        let gw = UdpBroker::spawn_from_file(addr, &path).unwrap();
         assert_eq!(gw.shards(), 4, "shard count comes from the file");
 
         let policy = ReconnectPolicy {
@@ -2530,7 +2285,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let err = ShardedUdpBroker::spawn_from_file("127.0.0.1:0", &path)
+        let err = UdpBroker::spawn_from_file("127.0.0.1:0", &path)
             .err()
             .expect("corrupt sharded snapshot must be refused");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -2543,25 +2298,68 @@ mod tests {
             b
         };
         std::fs::write(&path, &good[..good.len() - 3]).unwrap();
-        let err = ShardedUdpBroker::spawn_from_file("127.0.0.1:0", &path)
+        let err = UdpBroker::spawn_from_file("127.0.0.1:0", &path)
             .err()
             .expect("truncated sharded snapshot must be refused");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
-        // And a single-broker snapshot is not mistaken for a sharded one.
-        let single = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
-        single.snapshot_to_file(&path).unwrap();
-        single.shutdown();
-        let err = ShardedUdpBroker::spawn_from_file("127.0.0.1:0", &path)
-            .err()
-            .expect("wrong container format must be refused");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // A single-broker file from before the gateway was sharded (a
+        // checksummed raw broker state) migrates: it resumes as one shard
+        // whose durable QoS 1 subscription still receives.
+        let mut legacy: Broker<SocketAddr> = Broker::new(BrokerConfig::default());
+        let away = SocketAddr::from(([127, 0, 0, 1], 9));
+        for packet in [
+            Packet::Connect {
+                clean_session: false,
+                duration: 60,
+                client_id: "legacy-sub".into(),
+            },
+            Packet::Subscribe {
+                dup: false,
+                qos: QoS::AtLeastOnce,
+                msg_id: 1,
+                topic: TopicRef::Name("lg/old".into()),
+            },
+            Packet::Subscribe {
+                dup: false,
+                qos: QoS::AtLeastOnce,
+                msg_id: 2,
+                topic: TopicRef::Name("lg/#".into()),
+            },
+            Packet::Disconnect { duration: None },
+        ] {
+            legacy.on_packet(0, away, packet);
+        }
+        let old_id = legacy.registry_mut().id_of("lg/old").unwrap();
+        prov_wal::snapshot::write_atomic(&path, &legacy.encode_state()).unwrap();
+        let gw = UdpBroker::spawn_from_file("127.0.0.1:0", &path).unwrap();
+        assert_eq!(gw.shards(), 1, "a legacy file resumes as one shard");
+        let addr = gw.local_addr();
+        let mut sub = UdpClient::connect(
+            addr,
+            ClientConfig {
+                clean_session: false,
+                ..ClientConfig::new("legacy-sub")
+            },
+            timeout(),
+        )
+        .unwrap();
+        let mut publisher =
+            UdpClient::connect(addr, ClientConfig::new("lgdev"), timeout()).unwrap();
+        let tid = publisher.register("lg/dev", timeout()).unwrap();
+        assert_ne!(tid, old_id, "the router is seeded from the legacy registry");
+        publisher
+            .publish(tid, vec![3], QoS::AtLeastOnce, timeout())
+            .unwrap();
+        let (_, payload) = sub.recv_message(timeout()).unwrap();
+        assert_eq!(payload, vec![3]);
+        gw.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn sharded_gateway_merges_congestion_as_the_hottest_shard() {
-        let gw = ShardedUdpBroker::spawn("127.0.0.1:0", 2, BrokerConfig::default()).unwrap();
+        let gw = UdpBroker::spawn("127.0.0.1:0", 2, BrokerConfig::default()).unwrap();
         assert_eq!(gw.congestion_level(), 0);
         assert_eq!(gw.backlog(), 0);
         assert_eq!(gw.shard_backlogs(), vec![0, 0]);

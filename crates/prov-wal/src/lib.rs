@@ -16,9 +16,9 @@
 //!   record-level drop accounting, mirroring the RAM buffer's oldest-first
 //!   policy.
 //! * [`snapshot`] — one-shot whole-state files (magic + version + length +
-//!   CRC32) written atomically via a temp file and rename, used by
-//!   `UdpBroker` to persist its session/registry state across process
-//!   death.
+//!   CRC32) written atomically via a temp file and rename, used by the
+//!   MQTT-SN gateway (`UdpBroker`) to persist every shard's
+//!   session/registry state across process death.
 //!
 //! The crate is dependency-free (std only) so both `provlight_core` and
 //! `mqtt_sn` can use it without layering cycles.

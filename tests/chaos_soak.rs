@@ -22,7 +22,7 @@ use prov_chaos::{kill_points, FaultPlan, FaultPlanConfig};
 use provlight::core::client::ProvLightClient;
 use provlight::core::config::{CaptureConfig, GroupPolicy, LinkFault, SpillFault};
 use provlight::mqtt_sn::broker::BrokerConfig;
-use provlight::mqtt_sn::net::{ShardedUdpBroker, UdpBroker, UdpClient};
+use provlight::mqtt_sn::net::{UdpBroker, UdpClient};
 use provlight::mqtt_sn::router::shard_for_client;
 use provlight::mqtt_sn::{ClientConfig, ClientEvent, QoS};
 use provlight::prov_codec::frame::Envelope;
@@ -151,7 +151,7 @@ fn soak(seed: u64) {
         ..BrokerConfig::default()
     };
     let mut broker =
-        UdpBroker::spawn_with_faults("127.0.0.1:0", broker_config, broker_plan.clone()).unwrap();
+        UdpBroker::spawn_with_faults("127.0.0.1:0", 1, broker_config, broker_plan.clone()).unwrap();
     let addr = broker.local_addr();
     let collector = Collector::start(addr, "chaos-collector");
 
@@ -220,12 +220,16 @@ fn soak(seed: u64) {
             // snapshot would roll back handshakes completed before the
             // kill and re-deliver them after restart, breaking
             // exactly-once downstream).
-            let snap = broker
-                .shutdown_into_state()
+            let snap_dir = temp_dir(&format!("soak-{seed:x}-gateway"));
+            std::fs::create_dir_all(&snap_dir).unwrap();
+            let snap = snap_dir.join("gateway.snap");
+            broker
+                .shutdown_to_file(&snap)
                 .unwrap_or_else(|e| panic!("state capture failed for seed {seed:#x}: {e:?}"));
             std::thread::sleep(Duration::from_millis(300));
-            broker = UdpBroker::spawn_resuming_with_faults(addr, snap, broker_plan.clone())
+            broker = UdpBroker::spawn_from_file_with_faults(addr, &snap, broker_plan.clone())
                 .unwrap_or_else(|e| panic!("gateway restart failed for seed {seed:#x}: {e}"));
+            dirs.push(snap_dir);
         }
         for wf in &workflows {
             let mut task = wf.task(round as u64, 0u64, &[]);
@@ -365,7 +369,7 @@ fn cross_shard_soak(seed: u64, qos: QoS) {
             ..FaultPlanConfig::default()
         },
     ));
-    let broker = ShardedUdpBroker::spawn_with_faults(
+    let broker = UdpBroker::spawn_with_faults(
         "127.0.0.1:0",
         SHARDS,
         BrokerConfig {
@@ -478,6 +482,7 @@ fn cross_shard_chaos_seed_matrix_exactly_once() {
 fn overload_arm(signal: bool, tag: &str) -> (u64, usize, u64, u64) {
     let broker = UdpBroker::spawn(
         "127.0.0.1:0",
+        1,
         BrokerConfig {
             retry_timeout: Duration::from_millis(200),
             max_retries: 10,

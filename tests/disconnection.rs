@@ -3,8 +3,9 @@
 //! network is down, and everything buffered replays after reconnection.
 //!
 //! The outage is a broker kill + rebind on the same port. The restarted
-//! broker resumes from a state snapshot (`UdpBroker::spawn_resuming`, the
-//! RSMB-persistence analogue), so the translator's subscription survives;
+//! broker resumes from a snapshot file (`UdpBroker::shutdown_to_file` then
+//! `UdpBroker::spawn_from_file`, the RSMB-persistence analogue), so the
+//! translator's subscription survives;
 //! the capture client reconnects with `clean_session = false` and its
 //! session migrates to the rebound socket's new address with QoS 2 dedup
 //! state intact.
@@ -16,6 +17,8 @@ use provlight::mqtt_sn::net::{UdpBroker, UdpClient};
 use provlight::mqtt_sn::{ClientConfig, ClientEvent, QoS};
 use provlight::prov_codec::frame::Envelope;
 use provlight::prov_model::Record;
+use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -94,6 +97,35 @@ fn wait_until(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
     false
 }
 
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "provlight-disconnection-{tag}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Stops `broker`, persisting its final state to a fresh snapshot file —
+/// the gateway's restart path. Returns the file's path.
+fn kill_to_file(broker: UdpBroker, tag: &str) -> PathBuf {
+    let dir = temp_dir(tag);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("gateway.snap");
+    broker
+        .shutdown_to_file(&path)
+        .expect("snapshot round-trips");
+    path
+}
+
+/// Restarts the gateway on `addr` from a file written by
+/// [`kill_to_file`], then removes the file.
+fn restart_from_file(addr: SocketAddr, path: &Path) -> UdpBroker {
+    let broker = UdpBroker::spawn_from_file(addr, path).unwrap();
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    broker
+}
+
 /// Fast-detection, fast-reconnect capture configuration for the tests.
 fn resilient_config() -> CaptureConfig {
     CaptureConfig {
@@ -113,7 +145,7 @@ fn resilient_config() -> CaptureConfig {
 /// arrived exactly once in original order, and the stats tell the story.
 #[test]
 fn capture_survives_broker_outage_and_replays_in_order() {
-    let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+    let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
     let addr = broker.local_addr();
     let collector = Collector::start(addr, "provlight/#");
 
@@ -143,8 +175,7 @@ fn capture_survives_broker_outage_and_replays_in_order() {
     assert!(client.stats().connected);
 
     // Sever: kill the broker, preserving its state for the restart.
-    let snapshot = broker.snapshot().expect("snapshot round-trips");
-    broker.shutdown();
+    let snapshot = kill_to_file(broker, "outage");
     assert!(
         wait_until(Duration::from_secs(10), || !client.stats().connected),
         "transmitter never noticed the outage"
@@ -166,7 +197,7 @@ fn capture_survives_broker_outage_and_replays_in_order() {
     );
 
     // Restore: rebind the same port from the snapshot.
-    let broker = UdpBroker::spawn_resuming(addr, snapshot).unwrap();
+    let broker = restart_from_file(addr, &snapshot);
 
     // Phase 3: more capture after restore, then a full flush.
     for t in 7..9u64 {
@@ -213,7 +244,7 @@ fn capture_survives_broker_outage_and_replays_in_order() {
 /// are evicted, the drop count is exact, and the surviving suffix replays.
 #[test]
 fn buffer_caps_evict_oldest_with_accurate_drop_count() {
-    let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+    let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
     let addr = broker.local_addr();
     let collector = Collector::start(addr, "provlight/#");
 
@@ -232,8 +263,7 @@ fn buffer_caps_evict_oldest_with_accurate_drop_count() {
     wf.begin().unwrap();
     client.flush().unwrap();
 
-    let snapshot = broker.snapshot().expect("snapshot round-trips");
-    broker.shutdown();
+    let snapshot = kill_to_file(broker, "cap");
     assert!(
         wait_until(Duration::from_secs(10), || !client.stats().connected),
         "outage not detected"
@@ -255,7 +285,7 @@ fn buffer_caps_evict_oldest_with_accurate_drop_count() {
     );
     assert_eq!(client.stats().buffered_records, cap as u64);
 
-    let broker = UdpBroker::spawn_resuming(addr, snapshot).unwrap();
+    let broker = restart_from_file(addr, &snapshot);
     client.flush().unwrap();
 
     // wf-begin (pre-outage) + the newest `cap` task-begin records.
@@ -295,7 +325,7 @@ fn buffer_caps_evict_oldest_with_accurate_drop_count() {
 /// broker returns.
 #[test]
 fn flush_during_outage_reports_backlog_then_recovers() {
-    let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+    let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
     let addr = broker.local_addr();
     let collector = Collector::start(addr, "provlight/#");
 
@@ -315,8 +345,7 @@ fn flush_during_outage_reports_backlog_then_recovers() {
     wf.begin().unwrap();
     client.flush().unwrap();
 
-    let snapshot = broker.snapshot().expect("snapshot round-trips");
-    broker.shutdown();
+    let snapshot = kill_to_file(broker, "flush");
     assert!(wait_until(Duration::from_secs(10), || !client
         .stats()
         .connected));
@@ -333,7 +362,7 @@ fn flush_during_outage_reports_backlog_then_recovers() {
         std::thread::spawn(move || session.flush())
     };
     std::thread::sleep(Duration::from_millis(200));
-    let broker = UdpBroker::spawn_resuming(addr, snapshot).unwrap();
+    let broker = restart_from_file(addr, &snapshot);
     flusher
         .join()
         .unwrap()

@@ -12,6 +12,7 @@ use provlight::mqtt_sn::net::{UdpBroker, UdpClient};
 use provlight::mqtt_sn::{ClientConfig, ClientEvent, QoS};
 use provlight::prov_codec::frame::Envelope;
 use provlight::prov_model::Record;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -98,6 +99,26 @@ fn spill_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Stops `broker`, persisting its final state to a fresh snapshot file —
+/// the gateway's restart path. Returns the file's path.
+fn kill_to_file(broker: UdpBroker, tag: &str) -> PathBuf {
+    let dir = spill_dir(&format!("{tag}-gateway"));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("gateway.snap");
+    broker
+        .shutdown_to_file(&path)
+        .expect("snapshot round-trips");
+    path
+}
+
+/// Restarts the gateway on `addr` from a file written by
+/// [`kill_to_file`], then removes the file.
+fn restart_from_file(addr: SocketAddr, path: &Path) -> UdpBroker {
+    let broker = UdpBroker::spawn_from_file(addr, path).unwrap();
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    broker
+}
+
 /// Fast-detection, fast-reconnect, spill-enabled configuration: a tiny RAM
 /// buffer (4 single-record envelopes) so outages overflow to flash almost
 /// immediately.
@@ -139,7 +160,7 @@ fn task_ids(records: &[Record]) -> Vec<u64> {
 #[test]
 fn outage_larger_than_ram_spills_to_flash_and_replays_exactly_once() {
     let dir = spill_dir("overflow");
-    let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+    let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
     let addr = broker.local_addr();
     let collector = Collector::start(addr, "provlight/#");
 
@@ -155,8 +176,7 @@ fn outage_larger_than_ram_spills_to_flash_and_replays_exactly_once() {
     wf.begin().unwrap();
     client.flush().unwrap();
 
-    let snapshot = broker.snapshot().expect("snapshot round-trips");
-    broker.shutdown();
+    let snapshot = kill_to_file(broker, "overflow");
     assert!(
         wait_until(Duration::from_secs(10), || !client.stats().connected),
         "outage not detected"
@@ -186,7 +206,7 @@ fn outage_larger_than_ram_spills_to_flash_and_replays_exactly_once() {
     );
 
     // Restore; everything replays disk-first in original order.
-    let broker = UdpBroker::spawn_resuming(addr, snapshot).unwrap();
+    let broker = restart_from_file(addr, &snapshot);
     client.flush().unwrap();
 
     let expected = 1 + outage_records as usize; // wf-begin + task-begins
@@ -225,7 +245,7 @@ fn outage_larger_than_ram_spills_to_flash_and_replays_exactly_once() {
 #[test]
 fn client_restart_recovers_unsent_spill() {
     let dir = spill_dir("restart");
-    let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+    let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
     let addr = broker.local_addr();
     let collector = Collector::start(addr, "provlight/#");
 
@@ -243,8 +263,7 @@ fn client_restart_recovers_unsent_spill() {
         wf.begin().unwrap();
         client.flush().unwrap();
 
-        let snapshot = broker.snapshot().expect("snapshot round-trips");
-        broker.shutdown();
+        let snapshot = kill_to_file(broker, "restart");
         assert!(wait_until(Duration::from_secs(10), || !client
             .stats()
             .connected));
@@ -261,7 +280,7 @@ fn client_restart_recovers_unsent_spill() {
         // shutdown persistence must save the RAM backlog to the WAL.
     };
     // Bring the broker back for the restarted process.
-    let broker = UdpBroker::spawn_resuming(addr, snapshot).unwrap();
+    let broker = restart_from_file(addr, &snapshot);
 
     let client = ProvLightClient::connect(
         addr,
@@ -299,7 +318,7 @@ fn client_restart_recovers_unsent_spill() {
 #[test]
 fn torn_wal_tail_is_truncated_and_durable_records_replay() {
     let dir = spill_dir("torn");
-    let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+    let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
     let addr = broker.local_addr();
     let collector = Collector::start(addr, "provlight/#");
 
@@ -317,8 +336,7 @@ fn torn_wal_tail_is_truncated_and_durable_records_replay() {
         wf.begin().unwrap();
         client.flush().unwrap();
 
-        let snapshot = broker.snapshot().expect("snapshot round-trips");
-        broker.shutdown();
+        let snapshot = kill_to_file(broker, "torn");
         assert!(wait_until(Duration::from_secs(10), || !client
             .stats()
             .connected));
@@ -354,7 +372,7 @@ fn torn_wal_tail_is_truncated_and_durable_records_replay() {
         file.write_all(&torn).unwrap();
     }
 
-    let _broker = UdpBroker::spawn_resuming(addr, snapshot).unwrap();
+    let _broker = restart_from_file(addr, &snapshot);
     let client = ProvLightClient::connect(
         addr,
         "edge-torn-1",
@@ -391,7 +409,7 @@ fn torn_wal_tail_is_truncated_and_durable_records_replay() {
 #[test]
 fn spill_cap_eviction_counts_drops_exactly() {
     let dir = spill_dir("cap");
-    let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+    let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
     let addr = broker.local_addr();
     let collector = Collector::start(addr, "provlight/#");
 
@@ -410,8 +428,7 @@ fn spill_cap_eviction_counts_drops_exactly() {
     wf.begin().unwrap();
     client.flush().unwrap();
 
-    let snapshot = broker.snapshot().expect("snapshot round-trips");
-    broker.shutdown();
+    let snapshot = kill_to_file(broker, "cap");
     assert!(wait_until(Duration::from_secs(10), || !client
         .stats()
         .connected));
@@ -435,7 +452,7 @@ fn spill_cap_eviction_counts_drops_exactly() {
         "all losses must be WAL evictions: {mid:?}"
     );
 
-    let broker = UdpBroker::spawn_resuming(addr, snapshot).unwrap();
+    let broker = restart_from_file(addr, &snapshot);
     client.flush().unwrap();
 
     let stats = client.stats();
@@ -467,7 +484,7 @@ fn broker_process_death_survived_via_disk_snapshot() {
     std::fs::create_dir_all(&dir).unwrap();
     let snap_path = dir.join("gateway.snap");
 
-    let broker = UdpBroker::spawn("127.0.0.1:0", BrokerConfig::default()).unwrap();
+    let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
     let addr = broker.local_addr();
     let collector = Collector::start(addr, "provlight/#");
 

@@ -1,6 +1,6 @@
 //! Loopback fan-in stress: 32 concurrent QoS 1 publishers through one
-//! `UdpBroker` into a single wildcard subscriber — the paper's Fig. 5
-//! gateway shape at its evaluated device count.
+//! `UdpBroker` (one shard, then four) into a single wildcard subscriber —
+//! the paper's Fig. 5 gateway shape at its evaluated device count.
 //!
 //! Asserts zero loss, exact `BrokerStats` message accounting, and in-order
 //! per-client delivery (each publisher's stream arrives in publish order,
@@ -25,6 +25,7 @@ fn timeout() -> Duration {
 fn fan_in_32_publishers_no_loss_exact_stats_in_order() {
     let broker = UdpBroker::spawn(
         "127.0.0.1:0",
+        1,
         BrokerConfig {
             // Long enough that no broker->subscriber retransmission fires
             // mid-test: every counted forward is a first delivery, so the
@@ -107,7 +108,7 @@ fn fan_in_32_publishers_no_loss_exact_stats_in_order() {
 #[test]
 fn sharded_fan_in_32_publishers_no_loss_exact_merged_stats() {
     const SHARDS: usize = 4;
-    let broker = UdpBroker::spawn_sharded(
+    let broker = UdpBroker::spawn(
         "127.0.0.1:0",
         SHARDS,
         BrokerConfig {

@@ -6,22 +6,33 @@
 //! grouper → encode → compress → frame must perform **zero** heap
 //! allocations per record. Records cycle between a pre-built pool and the
 //! grouper so none are dropped or rebuilt inside the measured region.
+//!
+//! Allocations are counted per thread: every measured region is a
+//! single-threaded sans-io loop, and libtest runs this file's tests on
+//! parallel threads, so a process-wide count would charge each region
+//! with its siblings' allocations.
 
 use provlight::core::config::GroupPolicy;
 use provlight::core::grouping::{Emit, Grouper};
 use provlight::prov_codec::frame::Envelope;
 use provlight::prov_model::{DataRecord, Id, Record, TaskRecord, TaskStatus};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -38,8 +49,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn record(i: u64, attrs: usize) -> Record {
