@@ -1,13 +1,14 @@
-//! Gateway broker throughput: the per-packet serve path versus the
-//! batched zero-alloc path, through the sans-io core.
+//! Gateway broker throughput: an allocating per-packet serve loop versus
+//! the production zero-alloc serve path, through the sans-io core.
 //!
-//! `per_packet` replays the PR-4-era serve loop minus the socket: one
-//! `Packet::decode` (owned payload), one `on_packet` call returning a
-//! fresh output `Vec` of owned packets (payload cloned per subscriber),
-//! and one `encode_into` per output datagram. `batched` replays the
-//! rearchitected loop: `on_datagram_batch_into` over 32-frame batches —
-//! borrowed decode, recycled `BrokerOutputs`, and single-encode fan-out
-//! (subscriber copies share one wire image with a 3-byte header patch).
+//! `per_packet` is the allocating baseline built from public calls only:
+//! one `Packet::decode` (owned payload), one `on_packet_into` into a fresh
+//! `BrokerOutputs`, and one owned `to_vec()` copy per output datagram.
+//! `batched` replays the shard serve loop (`serve_shard` in
+//! `mqtt_sn::net`): `on_datagram_routed` over 32-frame batches under one
+//! `&mut` — borrowed decode, a recycled `BrokerOutputs`, and single-encode
+//! fan-out (subscriber copies share one wire image with a 3-byte header
+//! patch).
 //!
 //! Both paths are swept across 1/8/32 QoS 0 subscribers — the fan-out a
 //! gateway sees between one translator and the paper's ~50-devices-per-
@@ -49,13 +50,22 @@ const GATE_FANOUT: usize = 8;
 
 const PUBLISHER: u32 = 0;
 
+/// Runs one setup packet through the broker and decodes what it sends.
+fn feed(b: &mut Broker<u32>, from: u32, p: Packet) -> Vec<(u32, Packet)> {
+    let mut out = BrokerOutputs::new();
+    b.on_packet_into(0, from, p, &mut out);
+    let mut sent = Vec::new();
+    out.emit(|to, bytes| sent.push((*to, Packet::decode(bytes).expect("broker output decodes"))));
+    sent
+}
+
 /// A broker with one publisher and `subs` QoS 0 subscribers on one topic;
 /// returns the registered topic id.
 fn build_broker(subs: usize) -> (Broker<u32>, u16) {
     let mut b: Broker<u32> = Broker::new(BrokerConfig::default());
     for addr in 0..=subs as u32 {
-        b.on_packet(
-            0,
+        feed(
+            &mut b,
             addr,
             Packet::Connect {
                 clean_session: true,
@@ -64,8 +74,8 @@ fn build_broker(subs: usize) -> (Broker<u32>, u16) {
             },
         );
     }
-    let out = b.on_packet(
-        0,
+    let out = feed(
+        &mut b,
         PUBLISHER,
         Packet::Register {
             topic_id: 0,
@@ -78,8 +88,8 @@ fn build_broker(subs: usize) -> (Broker<u32>, u16) {
         ref p => panic!("unexpected {p:?}"),
     };
     for addr in 1..=subs as u32 {
-        b.on_packet(
-            0,
+        feed(
+            &mut b,
             addr,
             Packet::Subscribe {
                 dup: false,
@@ -104,22 +114,23 @@ fn publish_wire(tid: u16) -> Vec<u8> {
     .encode()
 }
 
-/// The old serve-loop body per datagram; returns elapsed seconds.
+/// The allocating per-packet baseline: owned decode, a fresh output
+/// buffer, and an owned copy of every datagram. Returns elapsed seconds.
 fn run_per_packet(broker: &mut Broker<u32>, wire: &[u8], packets: usize) -> f64 {
-    let mut wbuf = Vec::new();
     let start = Instant::now();
     for _ in 0..packets {
         let p = Packet::decode(wire).expect("bench wire decodes");
-        for (to, p) in broker.on_packet(0, PUBLISHER, p) {
-            wbuf.clear();
-            p.encode_into(&mut wbuf);
-            black_box((to, wbuf.len()));
-        }
+        let mut out = BrokerOutputs::new();
+        broker.on_packet_into(0, PUBLISHER, p, &mut out);
+        out.emit(|to, bytes| {
+            black_box((to, bytes.to_vec()));
+        });
     }
     start.elapsed().as_secs_f64()
 }
 
-/// The batched zero-alloc serve-loop body; returns elapsed seconds.
+/// The shard serve-loop body: 32-frame batches of `on_datagram_routed`
+/// under one `&mut`, then one flush. Returns elapsed seconds.
 fn run_batched(broker: &mut Broker<u32>, wire: &[u8], packets: usize) -> f64 {
     let mut out = BrokerOutputs::new();
     let mut done = 0;
@@ -127,7 +138,10 @@ fn run_batched(broker: &mut Broker<u32>, wire: &[u8], packets: usize) -> f64 {
     while done < packets {
         let n = BATCH.min(packets - done);
         out.clear();
-        broker.on_datagram_batch_into(0, (0..n).map(|_| (PUBLISHER, wire)), &mut out);
+        for _ in 0..n {
+            let routed = broker.on_datagram_routed(0, PUBLISHER, wire, &mut out);
+            black_box(routed.expect("bench wire decodes"));
+        }
         out.emit(|to, bytes| {
             black_box((to, bytes.len()));
         });
@@ -179,8 +193,8 @@ struct ShardedSetup {
 }
 
 fn sf_connect(b: &mut Broker<u32>, addr: u32) {
-    b.on_packet(
-        0,
+    feed(
+        b,
         addr,
         Packet::Connect {
             clean_session: true,
@@ -191,8 +205,8 @@ fn sf_connect(b: &mut Broker<u32>, addr: u32) {
 }
 
 fn sf_subscribe(b: &mut Broker<u32>, addr: u32, name: &str) {
-    b.on_packet(
-        0,
+    feed(
+        b,
         addr,
         Packet::Subscribe {
             dup: false,

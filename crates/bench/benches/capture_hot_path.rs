@@ -40,24 +40,28 @@ struct PathResult {
     bytes_per_record: f64,
 }
 
-/// Legacy per-record path: every record becomes its own envelope through the
-/// allocating APIs (fresh string table, fresh output buffer per record).
-fn immediate_alloc(records: &[Record]) -> usize {
-    let mut bytes = 0;
-    for r in records {
-        bytes += Envelope::encode(std::slice::from_ref(r), true).len();
-    }
-    bytes
+/// One envelope encoded into a fresh output buffer, as an application
+/// without buffer reuse would.
+fn encode_fresh(records: &[Record]) -> usize {
+    let mut wire = Vec::new();
+    Envelope::encode_into(records, true, &mut wire);
+    wire.len()
 }
 
-/// Grouped but still allocating: one envelope per GROUP records via
-/// `Envelope::encode`.
+/// Per-record allocating path: every record becomes its own envelope in a
+/// fresh output buffer.
+fn immediate_alloc(records: &[Record]) -> usize {
+    records
+        .iter()
+        .map(std::slice::from_ref)
+        .map(encode_fresh)
+        .sum()
+}
+
+/// Grouped but still allocating: one envelope per GROUP records, each in a
+/// fresh output buffer.
 fn grouped_alloc(records: &[Record]) -> usize {
-    let mut bytes = 0;
-    for chunk in records.chunks(GROUP) {
-        bytes += Envelope::encode(chunk, true).len();
-    }
-    bytes
+    records.chunks(GROUP).map(encode_fresh).sum()
 }
 
 /// The new hot path: grouper with buffer recycling feeding
@@ -165,17 +169,17 @@ fn main() {
         json_path("grouped_alloc", &grouped),
         json_path("coalesced_encode_into", &coalesced),
     );
-    // The ingest bench owns the file's "ingest" section; carry it over so
-    // the two benches extend one tracked file without clobbering each
-    // other (ROADMAP: extend, don't replace).
+    // The other hot-path benches own the file's remaining sections; carry
+    // them over so the benches extend one tracked file without clobbering
+    // each other (ROADMAP: extend, don't replace).
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
-    let json = match std::fs::read_to_string(out_path)
-        .ok()
-        .and_then(|old| provlight_bench::bench_json::extract_section(&old, "ingest"))
-    {
-        Some(ingest) => provlight_bench::bench_json::upsert_section(&json, "ingest", &ingest),
-        None => json,
-    };
+    let old = std::fs::read_to_string(out_path).unwrap_or_default();
+    let mut json = json;
+    for key in ["ingest", "broker", "query", "sharded_fanout"] {
+        if let Some(section) = provlight_bench::bench_json::extract_section(&old, key) {
+            json = provlight_bench::bench_json::upsert_section(&json, key, &section);
+        }
+    }
     std::fs::write(out_path, &json).expect("write BENCH_hotpath.json");
     println!("  wrote {out_path}");
 

@@ -3,11 +3,13 @@
 //! handling, broker routing, store ingestion and queries.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use mqtt_sn::broker::{Broker, BrokerConfig};
+use mqtt_sn::broker::{Broker, BrokerConfig, BrokerOutputs};
 use mqtt_sn::packet::{Packet, QoS, TopicRef};
+use prov_codec::binary::decode_batch_into;
+use prov_codec::compress::decompress_into;
 use prov_codec::frame::Envelope;
 use prov_codec::json::{records_to_json, JsonStyle};
-use prov_codec::{compress, decode_batch, decompress, encode_batch};
+use prov_codec::{compress_into, encode_batch_into};
 use prov_model::{DataRecord, Id, Record, TaskRecord, TaskStatus};
 use prov_store::query::Query;
 use prov_store::store::Store;
@@ -42,18 +44,46 @@ fn sample_records(n: usize, attrs: usize) -> Vec<Record> {
         .collect()
 }
 
+/// Runs one packet through the broker and decodes every datagram it sends.
+fn feed(b: &mut Broker<u32>, now: u64, from: u32, p: Packet) -> Vec<(u32, Packet)> {
+    let mut out = BrokerOutputs::new();
+    b.on_packet_into(now, from, p, &mut out);
+    let mut sent = Vec::new();
+    out.emit(|to, bytes| sent.push((*to, Packet::decode(bytes).unwrap())));
+    sent
+}
+
+/// Encodes into a fresh `Vec`, so each iteration pays the output
+/// allocation an application without buffer reuse would.
+fn encode(records: &[Record]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_batch_into(records, &mut out);
+    out
+}
+
+/// Compresses into a fresh `Vec`, like [`encode`].
+fn compress(data: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    compress_into(data, &mut out);
+    out
+}
+
 fn bench_codecs(c: &mut Criterion) {
     let records = sample_records(1, 100);
-    let encoded = encode_batch(&records);
+    let encoded = encode(&records);
 
     let mut g = c.benchmark_group("codec");
     g.measurement_time(Duration::from_secs(2));
     g.throughput(Throughput::Bytes(encoded.len() as u64));
     g.bench_function("binary_encode_100attr", |b| {
-        b.iter(|| encode_batch(std::hint::black_box(&records)))
+        b.iter(|| encode(std::hint::black_box(&records)))
     });
     g.bench_function("binary_decode_100attr", |b| {
-        b.iter(|| decode_batch(std::hint::black_box(&encoded)).unwrap())
+        b.iter(|| {
+            let mut back = Vec::new();
+            decode_batch_into(std::hint::black_box(&encoded), &mut back).unwrap();
+            back
+        })
     });
     g.bench_function("json_compact_encode_100attr", |b| {
         b.iter(|| records_to_json(std::hint::black_box(&records), JsonStyle::Compact))
@@ -62,7 +92,11 @@ fn bench_codecs(c: &mut Criterion) {
         b.iter(|| records_to_json(std::hint::black_box(&records), JsonStyle::Verbose))
     });
     g.bench_function("envelope_encode_compressed", |b| {
-        b.iter(|| Envelope::encode(std::hint::black_box(&records), true))
+        b.iter(|| {
+            let mut wire = Vec::new();
+            Envelope::encode_into(std::hint::black_box(&records), true, &mut wire);
+            wire
+        })
     });
     g.finish();
 }
@@ -79,7 +113,11 @@ fn bench_compression(c: &mut Criterion) {
         b.iter(|| compress(std::hint::black_box(data)))
     });
     g.bench_function("lzss_decompress_json", |b| {
-        b.iter(|| decompress(std::hint::black_box(&packed)).unwrap())
+        b.iter(|| {
+            let mut raw = Vec::new();
+            decompress_into(std::hint::black_box(&packed), &mut raw).unwrap();
+            raw
+        })
     });
     g.finish();
 }
@@ -111,7 +149,8 @@ fn bench_mqtt(c: &mut Criterion) {
                 let mut broker: Broker<u32> = Broker::new(BrokerConfig::default());
                 let mut tids = Vec::new();
                 for dev in 0..64u32 {
-                    broker.on_packet(
+                    feed(
+                        &mut broker,
                         0,
                         dev,
                         Packet::Connect {
@@ -120,7 +159,8 @@ fn bench_mqtt(c: &mut Criterion) {
                             client_id: format!("dev{dev}"),
                         },
                     );
-                    let out = broker.on_packet(
+                    let out = feed(
+                        &mut broker,
                         0,
                         dev,
                         Packet::Register {
@@ -133,7 +173,8 @@ fn bench_mqtt(c: &mut Criterion) {
                         tids.push(topic_id);
                     }
                 }
-                broker.on_packet(
+                feed(
+                    &mut broker,
                     0,
                     999,
                     Packet::Connect {
@@ -142,7 +183,8 @@ fn bench_mqtt(c: &mut Criterion) {
                         client_id: "translator".into(),
                     },
                 );
-                broker.on_packet(
+                feed(
+                    &mut broker,
                     0,
                     999,
                     Packet::Subscribe {
@@ -156,7 +198,8 @@ fn bench_mqtt(c: &mut Criterion) {
             },
             |(mut broker, tids)| {
                 for (dev, tid) in tids.iter().enumerate() {
-                    broker.on_packet(
+                    feed(
+                        &mut broker,
                         1,
                         dev as u32,
                         Packet::Publish {
@@ -182,7 +225,8 @@ fn bench_mqtt(c: &mut Criterion) {
                 let mut broker: Broker<u32> = Broker::new(BrokerConfig::default());
                 let mut wires = Vec::new();
                 for dev in 0..64u32 {
-                    broker.on_packet(
+                    feed(
+                        &mut broker,
                         0,
                         dev,
                         Packet::Connect {
@@ -191,7 +235,8 @@ fn bench_mqtt(c: &mut Criterion) {
                             client_id: format!("dev{dev}"),
                         },
                     );
-                    let out = broker.on_packet(
+                    let out = feed(
+                        &mut broker,
                         0,
                         dev,
                         Packet::Register {
@@ -214,7 +259,8 @@ fn bench_mqtt(c: &mut Criterion) {
                         );
                     }
                 }
-                broker.on_packet(
+                feed(
+                    &mut broker,
                     0,
                     999,
                     Packet::Connect {
@@ -223,7 +269,8 @@ fn bench_mqtt(c: &mut Criterion) {
                         client_id: "translator".into(),
                     },
                 );
-                broker.on_packet(
+                feed(
+                    &mut broker,
                     0,
                     999,
                     Packet::Subscribe {
@@ -233,17 +280,13 @@ fn bench_mqtt(c: &mut Criterion) {
                         topic: TopicRef::Name("provlight/#".into()),
                     },
                 );
-                (broker, wires, mqtt_sn::broker::BrokerOutputs::new())
+                (broker, wires, BrokerOutputs::new())
             },
             |(mut broker, wires, mut out)| {
-                broker.on_datagram_batch_into(
-                    1,
-                    wires
-                        .iter()
-                        .enumerate()
-                        .map(|(dev, w)| (dev as u32, w.as_slice())),
-                    &mut out,
-                );
+                for (dev, w) in wires.iter().enumerate() {
+                    let routed = broker.on_datagram_routed(1, dev as u32, w, &mut out);
+                    std::hint::black_box(routed.unwrap());
+                }
                 out.emit(|to, bytes| {
                     std::hint::black_box((to, bytes.len()));
                 });

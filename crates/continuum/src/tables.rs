@@ -639,9 +639,13 @@ fn sharded_counters() -> ShardedCounters {
     let router = SharedRouter::new(SHARDS);
     let fabric = ForwardFabric::new(SHARDS, 64);
     let mut shards: Vec<Broker<u32>> = (0..SHARDS).map(|_| Broker::new(config.clone())).collect();
+    // One recycled output buffer serves every shard; the replies to the
+    // setup packets are not inspected.
+    let mut out = BrokerOutputs::new();
 
-    let connect = |b: &mut Broker<u32>, addr: u32, id: &str| {
-        b.on_packet(
+    let mut connect = |b: &mut Broker<u32>, addr: u32, id: &str| {
+        out.clear();
+        b.on_packet_into(
             0,
             addr,
             Packet::Connect {
@@ -649,6 +653,7 @@ fn sharded_counters() -> ShardedCounters {
                 duration: 60,
                 client_id: id.into(),
             },
+            &mut out,
         );
     };
     connect(&mut shards[0], 0, "sharded-pub");
@@ -659,7 +664,8 @@ fn sharded_counters() -> ShardedCounters {
         shard.mirror_topic(tid, "prov/sharded");
     }
     for (shard, addr, qos) in [(1usize, 1u32, QoS::AtMostOnce), (2, 2, QoS::AtLeastOnce)] {
-        shards[shard].on_packet(
+        out.clear();
+        shards[shard].on_packet_into(
             0,
             addr,
             Packet::Subscribe {
@@ -668,15 +674,16 @@ fn sharded_counters() -> ShardedCounters {
                 msg_id: 1,
                 topic: TopicRef::Name("prov/sharded".into()),
             },
+            &mut out,
         );
         router.set_filters(shard, &["prov/sharded".to_string()]);
     }
     // The durable subscriber goes away; deliveries now buffer on shard 2.
-    shards[2].on_packet(0, 2, Packet::Disconnect { duration: None });
+    out.clear();
+    shards[2].on_packet_into(0, 2, Packet::Disconnect { duration: None }, &mut out);
 
     // Publish everything before draining so the rings show a real high
     // water, like a burst arriving faster than the peer shards serve.
-    let mut out = BrokerOutputs::new();
     let mut scratch = Vec::new();
     for seq in 0..PUBLISHES {
         let wire = Packet::Publish {

@@ -10,7 +10,7 @@
 //!   subscribers on *first* receipt and duplicate PUBLISHes are suppressed
 //!   until the PUBREL clears the message id — exactly-once semantics;
 //! * **outbound QoS 1/2** (broker → subscriber): per-subscriber message-id
-//!   allocation, retransmission with DUP on [`Broker::on_tick`], and the
+//!   allocation, retransmission with DUP on [`Broker::on_tick_into`], and the
 //!   4-way handshake for QoS 2 subscribers.
 
 use crate::client::Nanos;
@@ -204,71 +204,10 @@ impl<A> BrokerOutputs<A> {
         }
         // lint: zero-alloc-end
     }
-
-    /// Decodes every produced datagram back into an owned packet — a
-    /// test and simulator convenience, not a hot path.
-    pub fn packets(&mut self) -> Vec<(A, Packet)>
-    where
-        A: Clone,
-    {
-        let mut out = Vec::with_capacity(self.sends.len());
-        self.emit(|to, bytes| {
-            out.push((
-                to.clone(),
-                // lint:allow(no-panic): decoding datagrams this broker just encoded; harness-only collection path
-                Packet::decode(bytes).expect("broker-encoded datagram decodes"),
-            ));
-        });
-        out
-    }
 }
 
-/// Where packet dispatch writes its outbound traffic: an owned
-/// `Vec<(A, Packet)>` for the legacy per-packet API and the simulators, or
-/// encoded wire ranges (with single-encode fan-out) for the gateway path.
-trait OutputSink<A> {
-    fn push(&mut self, to: A, packet: Packet);
-    fn push_publish(
-        &mut self,
-        to: A,
-        dup: bool,
-        qos: QoS,
-        topic_id: u16,
-        msg_id: u16,
-        payload: &[u8],
-    );
-}
-
-struct VecSink<'o, A>(&'o mut Vec<(A, Packet)>);
-
-impl<A> OutputSink<A> for VecSink<'_, A> {
-    fn push(&mut self, to: A, packet: Packet) {
-        self.0.push((to, packet));
-    }
-
-    fn push_publish(
-        &mut self,
-        to: A,
-        dup: bool,
-        qos: QoS,
-        topic_id: u16,
-        msg_id: u16,
-        payload: &[u8],
-    ) {
-        self.0.push((
-            to,
-            Packet::Publish {
-                dup,
-                qos,
-                retain: false,
-                topic: TopicRef::Id(topic_id),
-                msg_id,
-                payload: payload.to_vec(),
-            },
-        ));
-    }
-}
-
+/// Where packet dispatch writes its outbound traffic: encoded wire ranges
+/// in a caller-owned [`BrokerOutputs`], with single-encode fan-out.
 struct WireSink<'o, A> {
     out: &'o mut BrokerOutputs<A>,
     /// Identity of the last publish wire image, for fan-out reuse. The
@@ -290,9 +229,7 @@ impl<'o, A> WireSink<'o, A> {
     fn new(out: &'o mut BrokerOutputs<A>) -> Self {
         WireSink { out, cached: None }
     }
-}
 
-impl<A> OutputSink<A> for WireSink<'_, A> {
     fn push(&mut self, to: A, packet: Packet) {
         let start = self.out.wire.len();
         packet.encode_into(&mut self.out.wire);
@@ -647,22 +584,8 @@ impl<A: Clone + Eq + Hash> Broker<A> {
             .count()
     }
 
-    /// Handles one decoded packet from `from`, returning packets to send.
-    ///
-    /// The allocating per-packet API: a fresh output `Vec` with owned
-    /// packets (PUBLISH payloads cloned per subscriber). The simulators
-    /// and tests use it; transports on the hot path should prefer
-    /// [`Broker::on_datagram_into`] / [`Broker::on_packet_into`], which
-    /// run the same state machine through recycled buffers.
-    pub fn on_packet(&mut self, now: Nanos, from: A, packet: Packet) -> Vec<(A, Packet)> {
-        let mut out = Vec::new();
-        self.dispatch(now, from, packet, &mut VecSink(&mut out));
-        out
-    }
-
     /// Handles one decoded packet, encoding every output datagram into the
-    /// caller-owned (and recycled) `out` buffer: no output `Vec`, no
-    /// per-subscriber payload clone, single-encode fan-out.
+    /// caller-owned (and recycled) `out` buffer with single-encode fan-out.
     pub fn on_packet_into(
         &mut self,
         now: Nanos,
@@ -797,27 +720,7 @@ impl<A: Clone + Eq + Hash> Broker<A> {
         }
     }
 
-    /// Batch variant of [`Broker::on_datagram_into`]: processes every
-    /// frame under one `&mut self` (one lock acquisition in a threaded
-    /// transport), returning the number of frames that failed to decode.
-    pub fn on_datagram_batch_into<'d>(
-        &mut self,
-        now: Nanos,
-        frames: impl IntoIterator<Item = (A, &'d [u8])>,
-        out: &mut BrokerOutputs<A>,
-    ) -> usize {
-        // lint: zero-alloc-begin
-        let mut decode_errors = 0;
-        for (from, datagram) in frames {
-            if self.on_datagram_into(now, from, datagram, out).is_err() {
-                decode_errors += 1;
-            }
-        }
-        decode_errors
-        // lint: zero-alloc-end
-    }
-
-    fn dispatch<S: OutputSink<A>>(&mut self, now: Nanos, from: A, packet: Packet, sink: &mut S) {
+    fn dispatch(&mut self, now: Nanos, from: A, packet: Packet, sink: &mut WireSink<'_, A>) {
         if let Some(s) = self.sessions.get_mut(&from) {
             s.last_seen = now;
         }
@@ -943,13 +846,13 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     /// with subscriptions, QoS handshake state, and buffered messages
     /// intact, and everything buffered while the client was away is
     /// delivered right after the CONNACK.
-    fn handle_connect<S: OutputSink<A>>(
+    fn handle_connect(
         &mut self,
         now: Nanos,
         from: A,
         clean_session: bool,
         client_id: String,
-        sink: &mut S,
+        sink: &mut WireSink<'_, A>,
     ) {
         self.invalidate_routes();
         let connack = Packet::ConnAck {
@@ -1046,7 +949,7 @@ impl<A: Clone + Eq + Hash> Broker<A> {
 
     /// Delivers everything buffered for `to` while it was asleep or away,
     /// arming outbound QoS 1/2 state for each message.
-    fn deliver_buffered<S: OutputSink<A>>(&mut self, now: Nanos, to: A, sink: &mut S) {
+    fn deliver_buffered(&mut self, now: Nanos, to: A, sink: &mut WireSink<'_, A>) {
         let buffered = match self.sessions.get_mut(&to) {
             Some(s) => std::mem::take(&mut s.buffered),
             None => return,
@@ -1097,13 +1000,13 @@ impl<A: Clone + Eq + Hash> Broker<A> {
         }
     }
 
-    fn handle_subscribe<S: OutputSink<A>>(
+    fn handle_subscribe(
         &mut self,
         from: A,
         qos: QoS,
         msg_id: u16,
         topic: TopicRef,
-        sink: &mut S,
+        sink: &mut WireSink<'_, A>,
     ) {
         self.invalidate_routes();
         let Some(session) = self.sessions.get_mut(&from) else {
@@ -1153,7 +1056,7 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn handle_publish<S: OutputSink<A>>(
+    fn handle_publish(
         &mut self,
         now: Nanos,
         from: A,
@@ -1161,7 +1064,7 @@ impl<A: Clone + Eq + Hash> Broker<A> {
         topic: TopicRef,
         msg_id: u16,
         payload: &[u8],
-        sink: &mut S,
+        sink: &mut WireSink<'_, A>,
     ) {
         self.stats.publishes_in += 1;
 
@@ -1288,13 +1191,13 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     ///
     /// Shared by [`Broker::handle_publish`] (local publisher) and
     /// [`Broker::deliver_forwarded`] (publish owned by another shard).
-    fn fan_out<S: OutputSink<A>>(
+    fn fan_out(
         &mut self,
         now: Nanos,
         topic_id: u16,
         qos: QoS,
         payload: &[u8],
-        sink: &mut S,
+        sink: &mut WireSink<'_, A>,
     ) {
         let epoch = self.route_epoch;
         let (cached_epoch, targets) = self
@@ -1381,22 +1284,13 @@ impl<A: Clone + Eq + Hash> Broker<A> {
         }
     }
 
-    /// Drives outbound retransmissions. Call periodically.
-    ///
-    /// The allocating per-packet API; transports should prefer
-    /// [`Broker::on_tick_into`].
-    pub fn on_tick(&mut self, now: Nanos) -> Vec<(A, Packet)> {
-        let mut out = Vec::new();
-        self.tick(now, &mut VecSink(&mut out));
-        out
-    }
-
-    /// Drives outbound retransmissions into a recycled output buffer.
+    /// Drives outbound retransmissions into a recycled output buffer. Call
+    /// periodically.
     pub fn on_tick_into(&mut self, now: Nanos, out: &mut BrokerOutputs<A>) {
         self.tick(now, &mut WireSink::new(out));
     }
 
-    fn tick<S: OutputSink<A>>(&mut self, now: Nanos, sink: &mut S) {
+    fn tick(&mut self, now: Nanos, sink: &mut WireSink<'_, A>) {
         // Falling congestion is advertised on the tick: a paced publisher
         // that stopped publishing would otherwise never learn that the
         // pressure cleared. Rising congestion is advertised inline in
@@ -1944,8 +1838,30 @@ mod tests {
         Broker::new(BrokerConfig::default())
     }
 
+    /// Decodes every datagram in `out`, in emit order.
+    fn decoded(out: &mut BrokerOutputs<Addr>) -> Vec<(Addr, Packet)> {
+        let mut packets = Vec::new();
+        out.emit(|to, bytes| packets.push((*to, Packet::decode(bytes).unwrap())));
+        packets
+    }
+
+    /// Runs one packet through the broker and decodes what it sends.
+    fn feed(b: &mut Broker<Addr>, now: Nanos, from: Addr, p: Packet) -> Vec<(Addr, Packet)> {
+        let mut out = BrokerOutputs::new();
+        b.on_packet_into(now, from, p, &mut out);
+        decoded(&mut out)
+    }
+
+    /// Runs one tick through the broker and decodes what it sends.
+    fn feed_tick(b: &mut Broker<Addr>, now: Nanos) -> Vec<(Addr, Packet)> {
+        let mut out = BrokerOutputs::new();
+        b.on_tick_into(now, &mut out);
+        decoded(&mut out)
+    }
+
     fn connect(b: &mut Broker<Addr>, addr: Addr, id: &str) {
-        let out = b.on_packet(
+        let out = feed(
+            b,
             0,
             addr,
             Packet::Connect {
@@ -1963,7 +1879,8 @@ mod tests {
     }
 
     fn register(b: &mut Broker<Addr>, addr: Addr, name: &str) -> u16 {
-        let out = b.on_packet(
+        let out = feed(
+            b,
             0,
             addr,
             Packet::Register {
@@ -1983,7 +1900,8 @@ mod tests {
     }
 
     fn subscribe(b: &mut Broker<Addr>, addr: Addr, filter: &str, qos: QoS) {
-        let out = b.on_packet(
+        let out = feed(
+            b,
             0,
             addr,
             Packet::Subscribe {
@@ -2009,7 +1927,8 @@ mod tests {
         connect(&mut b, 2, "sub");
         let tid = register(&mut b, 1, "t/x");
         subscribe(&mut b, 2, "t/x", QoS::AtMostOnce);
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -2034,7 +1953,8 @@ mod tests {
         connect(&mut b, 2, "sub");
         let tid = register(&mut b, 1, "provlight/wf1/dev1");
         subscribe(&mut b, 2, "provlight/#", QoS::AtMostOnce);
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -2066,7 +1986,7 @@ mod tests {
             msg_id: 10,
             payload: vec![1],
         };
-        let out = b.on_packet(0, 1, publish.clone());
+        let out = feed(&mut b, 0, 1, publish.clone());
         // PUBREC to publisher + forward to subscriber (downgraded to its
         // subscription QoS 0).
         assert!(out
@@ -2082,14 +2002,14 @@ mod tests {
             )));
 
         // DUP retransmission before PUBREL: PUBREC again, no re-forward.
-        let out = b.on_packet(1, 1, publish);
+        let out = feed(&mut b, 1, 1, publish);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].1, Packet::PubRec { msg_id: 10 }));
         assert_eq!(b.stats().duplicates_suppressed, 1);
         assert_eq!(b.stats().publishes_out, 1);
 
         // PUBREL completes the exchange.
-        let out = b.on_packet(2, 1, Packet::PubRel { msg_id: 10 });
+        let out = feed(&mut b, 2, 1, Packet::PubRel { msg_id: 10 });
         assert!(matches!(out[0].1, Packet::PubComp { msg_id: 10 }));
     }
 
@@ -2108,13 +2028,13 @@ mod tests {
             msg_id: 10,
             payload: vec![1],
         };
-        b.on_packet(0, 1, publish.clone());
-        b.on_packet(1, 1, Packet::PubRel { msg_id: 10 });
+        feed(&mut b, 0, 1, publish.clone());
+        feed(&mut b, 1, 1, Packet::PubRel { msg_id: 10 });
 
         // A delayed copy arrives AFTER the handshake completed: it must
         // not fan out as a fresh message, but still gets its PUBREC so the
         // publisher's retransmission state machine can finish again.
-        let out = b.on_packet(2, 1, publish);
+        let out = feed(&mut b, 2, 1, publish);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].1, Packet::PubRec { msg_id: 10 }));
         assert_eq!(b.stats().publishes_out, 1);
@@ -2123,9 +2043,10 @@ mod tests {
         // The recently-completed window survives a snapshot round-trip, so
         // a late duplicate straddling a gateway restart is also caught.
         let mut restored = Broker::<Addr>::decode_state(&b.encode_state()).unwrap();
-        let out = b.on_packet(3, 1, Packet::PubRel { msg_id: 10 });
+        let out = feed(&mut b, 3, 1, Packet::PubRel { msg_id: 10 });
         assert!(matches!(out[0].1, Packet::PubComp { msg_id: 10 }));
-        let out = restored.on_packet(
+        let out = feed(
+            &mut restored,
             3,
             1,
             Packet::Publish {
@@ -2149,7 +2070,8 @@ mod tests {
         connect(&mut b, 2, "sub");
         let tid = register(&mut b, 1, "t");
         subscribe(&mut b, 2, "t", QoS::ExactlyOnce);
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -2173,11 +2095,11 @@ mod tests {
             })
             .expect("forwarded at QoS 2");
         // Subscriber answers PUBREC -> broker sends PUBREL.
-        let out = b.on_packet(1, 2, Packet::PubRec { msg_id: fwd_id });
+        let out = feed(&mut b, 1, 2, Packet::PubRec { msg_id: fwd_id });
         assert!(matches!(out[0].1, Packet::PubRel { .. }));
         // Subscriber PUBCOMP clears broker state; tick produces nothing.
-        b.on_packet(2, 2, Packet::PubComp { msg_id: fwd_id });
-        assert!(b.on_tick(u64::MAX / 2).is_empty());
+        feed(&mut b, 2, 2, Packet::PubComp { msg_id: fwd_id });
+        assert!(feed_tick(&mut b, u64::MAX / 2).is_empty());
     }
 
     #[test]
@@ -2192,7 +2114,8 @@ mod tests {
         connect(&mut b, 2, "sub");
         let tid = register(&mut b, 1, "t");
         subscribe(&mut b, 2, "t", QoS::AtLeastOnce);
-        b.on_packet(
+        feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -2205,12 +2128,12 @@ mod tests {
             },
         );
         let s = 1_000_000_000u64;
-        let out = b.on_tick(2 * s);
+        let out = feed_tick(&mut b, 2 * s);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].1, Packet::Publish { dup: true, .. }));
         assert_eq!(b.stats().retransmissions, 1);
         // Exhausted on the next tick.
-        let out = b.on_tick(4 * s);
+        let out = feed_tick(&mut b, 4 * s);
         assert!(out.is_empty());
         assert_eq!(b.stats().drops, 1);
     }
@@ -2219,7 +2142,8 @@ mod tests {
     fn publish_to_unknown_topic_rejected() {
         let mut b = broker();
         connect(&mut b, 1, "pub");
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -2247,9 +2171,10 @@ mod tests {
         connect(&mut b, 2, "sub");
         let tid = register(&mut b, 1, "t");
         subscribe(&mut b, 2, "t", QoS::AtMostOnce);
-        b.on_packet(0, 2, Packet::Disconnect { duration: None });
+        feed(&mut b, 0, 2, Packet::Disconnect { duration: None });
         assert_eq!(b.session_count(), 1);
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -2288,7 +2213,8 @@ mod tests {
             );
         }
         for (dev, tid) in tids.iter().enumerate() {
-            let out = b.on_packet(
+            let out = feed(
+                &mut b,
                 0,
                 dev as u32,
                 Packet::Publish {
@@ -2309,7 +2235,7 @@ mod tests {
     #[test]
     fn searchgw_answered() {
         let mut b = broker();
-        let out = b.on_packet(0, 9, Packet::SearchGw { radius: 1 });
+        let out = feed(&mut b, 0, 9, Packet::SearchGw { radius: 1 });
         assert!(matches!(out[0].1, Packet::GwInfo { gw_id: 1 }));
     }
 
@@ -2322,7 +2248,8 @@ mod tests {
         subscribe(&mut b, 2, "t", QoS::AtMostOnce);
 
         // Client 2 goes to sleep (DISCONNECT with duration).
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             0,
             2,
             Packet::Disconnect {
@@ -2335,7 +2262,8 @@ mod tests {
 
         // Publishes while asleep are buffered, not sent.
         for i in 0..3u8 {
-            let out = b.on_packet(
+            let out = feed(
+                &mut b,
                 1,
                 1,
                 Packet::Publish {
@@ -2351,7 +2279,7 @@ mod tests {
         }
 
         // PINGREQ flushes the buffer then answers PINGRESP, in order.
-        let out = b.on_packet(2, 2, Packet::PingReq);
+        let out = feed(&mut b, 2, 2, Packet::PingReq);
         assert_eq!(out.len(), 4);
         for (i, (to, p)) in out[..3].iter().enumerate() {
             assert_eq!(*to, 2);
@@ -2363,7 +2291,7 @@ mod tests {
         assert!(matches!(out[3].1, Packet::PingResp));
 
         // Buffer is drained: next ping is just a pong.
-        let out = b.on_packet(3, 2, Packet::PingReq);
+        let out = feed(&mut b, 3, 2, Packet::PingReq);
         assert_eq!(out.len(), 1);
     }
 
@@ -2378,8 +2306,9 @@ mod tests {
         connect(&mut b, 2, "sleeper");
         let tid = register(&mut b, 1, "t");
         subscribe(&mut b, 2, "t", QoS::AtLeastOnce);
-        b.on_packet(0, 2, Packet::Disconnect { duration: Some(60) });
-        b.on_packet(
+        feed(&mut b, 0, 2, Packet::Disconnect { duration: Some(60) });
+        feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -2391,7 +2320,7 @@ mod tests {
                 payload: vec![7],
             },
         );
-        let out = b.on_packet(1, 2, Packet::PingReq);
+        let out = feed(&mut b, 1, 2, Packet::PingReq);
         let msg_id = out
             .iter()
             .find_map(|(_, p)| match p {
@@ -2401,10 +2330,11 @@ mod tests {
             .expect("buffered publish delivered");
         // Unacked buffered delivery retransmits like any outbound QoS 1.
         let s = 1_000_000_000u64;
-        let out = b.on_tick(3 * s);
+        let out = feed_tick(&mut b, 3 * s);
         assert!(matches!(out[0].1, Packet::Publish { dup: true, .. }));
         // Ack clears it.
-        b.on_packet(
+        feed(
+            &mut b,
             4 * s,
             2,
             Packet::PubAck {
@@ -2413,11 +2343,12 @@ mod tests {
                 code: ReturnCode::Accepted,
             },
         );
-        assert!(b.on_tick(10 * s).is_empty());
+        assert!(feed_tick(&mut b, 10 * s).is_empty());
     }
 
     fn connect_durable(b: &mut Broker<Addr>, addr: Addr, id: &str) {
-        let out = b.on_packet(
+        let out = feed(
+            b,
             0,
             addr,
             Packet::Connect {
@@ -2444,10 +2375,11 @@ mod tests {
 
         // The durable subscriber's transport dies (graceful disconnect
         // stands in for the lost link).
-        b.on_packet(0, 2, Packet::Disconnect { duration: None });
+        feed(&mut b, 0, 2, Packet::Disconnect { duration: None });
         // Publishes while away are buffered, not dropped.
         for i in 0..3u8 {
-            let out = b.on_packet(
+            let out = feed(
+                &mut b,
                 1,
                 1,
                 Packet::Publish {
@@ -2465,7 +2397,8 @@ mod tests {
 
         // Reconnect from a NEW address (rebound socket): the session
         // migrates and the buffered messages follow the CONNACK in order.
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             2,
             99,
             Packet::Connect {
@@ -2489,7 +2422,8 @@ mod tests {
         // The old address no longer exists as a session.
         assert_eq!(b.session_count(), 2);
         // New deliveries flow directly to the new address.
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             3,
             1,
             Packet::Publish {
@@ -2523,13 +2457,14 @@ mod tests {
             msg_id: 7,
             payload: vec![1],
         };
-        b.on_packet(0, 1, publish.clone());
+        feed(&mut b, 0, 1, publish.clone());
         assert_eq!(b.stats().publishes_out, 1);
 
         // The publisher reconnects from a new address and retransmits the
         // unacked publish with DUP: the migrated session's dedup state
         // suppresses the re-forward — exactly-once survives the reconnect.
-        b.on_packet(
+        feed(
+            &mut b,
             1,
             50,
             Packet::Connect {
@@ -2542,7 +2477,7 @@ mod tests {
         if let Packet::Publish { dup: d, .. } = &mut dup {
             *d = true;
         }
-        let out = b.on_packet(2, 50, dup);
+        let out = feed(&mut b, 2, 50, dup);
         assert_eq!(out.len(), 1, "duplicate must only be PUBRECed: {out:?}");
         assert!(matches!(out[0].1, Packet::PubRec { msg_id: 7 }));
         assert_eq!(b.stats().duplicates_suppressed, 1);
@@ -2560,9 +2495,10 @@ mod tests {
         connect_durable(&mut b, 2, "sub");
         let tid = register(&mut b, 1, "t");
         subscribe(&mut b, 2, "t", QoS::AtMostOnce);
-        b.on_packet(0, 2, Packet::Disconnect { duration: None });
+        feed(&mut b, 0, 2, Packet::Disconnect { duration: None });
         for i in 0..5u8 {
-            b.on_packet(
+            feed(
+                &mut b,
                 1,
                 1,
                 Packet::Publish {
@@ -2577,7 +2513,8 @@ mod tests {
         }
         assert_eq!(b.stats().drops, 3);
         // Reconnect delivers only the newest two, in order.
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             2,
             2,
             Packet::Connect {
@@ -2605,7 +2542,8 @@ mod tests {
         subscribe(&mut b, 2, "t", QoS::AtMostOnce);
         // Same client id reconnects cleanly from a new address.
         connect(&mut b, 3, "mover");
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -2631,9 +2569,10 @@ mod tests {
         let tid = register(&mut b, 1, "t/persist");
         subscribe(&mut b, 2, "t/persist", QoS::ExactlyOnce);
         // A durable subscriber goes away and accumulates buffered messages.
-        b.on_packet(0, 2, Packet::Disconnect { duration: None });
+        feed(&mut b, 0, 2, Packet::Disconnect { duration: None });
         for i in 0..3u8 {
-            b.on_packet(
+            feed(
+                &mut b,
                 1,
                 1,
                 Packet::Publish {
@@ -2647,7 +2586,8 @@ mod tests {
             );
         }
         // An inbound QoS 2 exchange parked mid-handshake (PUBREL pending).
-        b.on_packet(
+        feed(
+            &mut b,
             2,
             1,
             Packet::Publish {
@@ -2672,7 +2612,8 @@ mod tests {
         // Behavioural check: the restored broker still dedups the QoS 2
         // retransmission and delivers the buffered backlog on reconnect.
         let mut restored = restored;
-        let out = restored.on_packet(
+        let out = feed(
+            &mut restored,
             3,
             1,
             Packet::Publish {
@@ -2685,7 +2626,8 @@ mod tests {
             },
         );
         assert_eq!(out.len(), 1, "duplicate must only be PUBRECed: {out:?}");
-        let out = restored.on_packet(
+        let out = feed(
+            &mut restored,
             4,
             7,
             Packet::Connect {
@@ -2716,7 +2658,8 @@ mod tests {
         connect_durable(&mut b, 2, "sub");
         let tid = register(&mut b, 1, "t/v1");
         subscribe(&mut b, 2, "t/v1", QoS::AtLeastOnce);
-        b.on_packet(
+        feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -2823,7 +2766,7 @@ mod tests {
             payload: vec![1],
         };
         // Unknown predefined id is rejected toward the publisher.
-        let out = b.on_packet(0, 1, publish());
+        let out = feed(&mut b, 0, 1, publish());
         assert!(matches!(
             out[0].1,
             Packet::PubAck {
@@ -2835,7 +2778,7 @@ mod tests {
         // An id collision is refused, never silently remapped (remapping
         // would also require a route-cache invalidation to be correct).
         assert!(!b.registry_mut().register_predefined(500, "pre/other"));
-        let out = b.on_packet(1, 1, publish());
+        let out = feed(&mut b, 1, 1, publish());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, 2, "seeded topic must route to the wildcard sub");
     }
@@ -2849,87 +2792,59 @@ mod tests {
         assert!(Broker::<Addr>::decode_state(&bytes).is_err());
     }
 
-    /// Two brokers fed the same packet sequence — one through the
-    /// allocating `on_packet` API, one through the wire-encoding
-    /// `on_packet_into` path — must produce identical outputs and state.
+    /// The wire path's single-encode fan-out against a hand-written
+    /// packet sequence: a QoS 2 publish forwarded at three effective QoS
+    /// levels (one shared wire image, per-subscriber headers), the
+    /// publisher-side handshake, and the tick's DUP retransmissions.
     #[test]
     fn wire_path_matches_vec_path() {
-        let mut vec_b = broker();
-        let mut wire_b = broker();
-        let mut out = BrokerOutputs::new();
-
-        let mut feed = |vb: &mut Broker<Addr>, wb: &mut Broker<Addr>, from: Addr, p: Packet| {
-            let expect = vb.on_packet(7, from, p.clone());
-            out.clear();
-            wb.on_packet_into(7, from, p, &mut out);
-            assert_eq!(out.packets(), expect);
-        };
-
+        let mut b = broker();
         for (addr, id) in [(1, "pub"), (2, "s0"), (3, "s1"), (4, "s2")] {
-            feed(
-                &mut vec_b,
-                &mut wire_b,
-                addr,
-                Packet::Connect {
-                    clean_session: true,
-                    duration: 60,
-                    client_id: id.into(),
-                },
+            connect(&mut b, addr, id);
+        }
+        let tid = register(&mut b, 1, "t/eq");
+        subscribe(&mut b, 2, "t/eq", QoS::AtMostOnce);
+        subscribe(&mut b, 3, "t/eq", QoS::AtLeastOnce);
+        subscribe(&mut b, 4, "t/eq", QoS::ExactlyOnce);
+        let publish = |dup, qos, msg_id| Packet::Publish {
+            dup,
+            qos,
+            retain: false,
+            topic: TopicRef::Id(tid),
+            msg_id,
+            payload: vec![0xAB; 100],
+        };
+        for (msg_id, sub_id) in [(10u16, 1u16), (11, 2)] {
+            // PUBREC to the publisher, then one forward per subscriber at
+            // min(publish, granted) QoS, each with its session's next id.
+            assert_eq!(
+                feed(&mut b, 7, 1, publish(false, QoS::ExactlyOnce, msg_id)),
+                vec![
+                    (1, Packet::PubRec { msg_id }),
+                    (2, publish(false, QoS::AtMostOnce, 0)),
+                    (3, publish(false, QoS::AtLeastOnce, sub_id)),
+                    (4, publish(false, QoS::ExactlyOnce, sub_id)),
+                ]
+            );
+            assert_eq!(
+                feed(&mut b, 7, 1, Packet::PubRel { msg_id }),
+                vec![(1, Packet::PubComp { msg_id })]
             );
         }
-        feed(
-            &mut vec_b,
-            &mut wire_b,
-            1,
-            Packet::Register {
-                topic_id: 0,
-                msg_id: 1,
-                topic_name: "t/eq".into(),
-            },
+        // The tick retransmits every unacked QoS 1/2 forward with DUP set,
+        // in session order and ascending msg id.
+        assert_eq!(
+            feed_tick(&mut b, u64::MAX / 2),
+            vec![
+                (3, publish(true, QoS::AtLeastOnce, 1)),
+                (3, publish(true, QoS::AtLeastOnce, 2)),
+                (4, publish(true, QoS::ExactlyOnce, 1)),
+                (4, publish(true, QoS::ExactlyOnce, 2)),
+            ]
         );
-        for (addr, qos) in [
-            (2, QoS::AtMostOnce),
-            (3, QoS::AtLeastOnce),
-            (4, QoS::ExactlyOnce),
-        ] {
-            feed(
-                &mut vec_b,
-                &mut wire_b,
-                addr,
-                Packet::Subscribe {
-                    dup: false,
-                    qos,
-                    msg_id: 2,
-                    topic: TopicRef::Name("t/eq".into()),
-                },
-            );
-        }
-        // A QoS 2 publish fanning out at three different effective QoS
-        // levels: the wire path encodes once and patches headers.
-        for msg_id in [10u16, 11] {
-            feed(
-                &mut vec_b,
-                &mut wire_b,
-                1,
-                Packet::Publish {
-                    dup: false,
-                    qos: QoS::ExactlyOnce,
-                    retain: false,
-                    topic: TopicRef::Id(1),
-                    msg_id,
-                    payload: vec![0xAB; 100],
-                },
-            );
-            feed(&mut vec_b, &mut wire_b, 1, Packet::PubRel { msg_id });
-        }
-        // Ticks retransmit the unacked QoS 1/2 forwards identically.
-        let expect = vec_b.on_tick(u64::MAX / 2);
-        out.clear();
-        wire_b.on_tick_into(u64::MAX / 2, &mut out);
-        assert_eq!(out.packets(), expect);
-        assert!(!expect.is_empty(), "expected retransmissions");
-        assert_eq!(wire_b.stats(), vec_b.stats());
-        assert_eq!(wire_b.encode_state(), vec_b.encode_state());
+        let stats = b.stats();
+        assert_eq!((stats.publishes_in, stats.publishes_out), (2, 6));
+        assert_eq!(stats.retransmissions, 4);
     }
 
     #[test]
@@ -2948,7 +2863,7 @@ mod tests {
             &mut out,
         )
         .unwrap();
-        assert!(matches!(out.packets()[0].1, Packet::ConnAck { .. }));
+        assert!(matches!(decoded(&mut out)[0].1, Packet::ConnAck { .. }));
 
         out.clear();
         assert!(b.on_datagram_into(0, 1, b"\xff garbage", &mut out).is_err());
@@ -2981,19 +2896,20 @@ mod tests {
                 .encode()
             })
             .collect();
+        // One `&mut` pass over the frames, as the shard serve loop does.
         let mut out = BrokerOutputs::new();
-        let errors = b.on_datagram_batch_into(
-            0,
-            frames
-                .iter()
-                .map(|f| (1u32, f.as_slice()))
-                .chain(std::iter::once((1u32, &b"junk"[..]))),
-            &mut out,
-        );
+        let (mut fan_outs, mut errors) = (0, 0);
+        for frame in frames.iter().map(Vec::as_slice).chain([&b"junk"[..]]) {
+            match b.on_datagram_routed(0, 1, frame, &mut out) {
+                Ok(true) => fan_outs += 1,
+                Ok(false) => {}
+                Err(_) => errors += 1,
+            }
+        }
+        assert_eq!(fan_outs, 4);
         assert_eq!(errors, 1);
         assert_eq!(b.stats().decode_errors, 1);
-        let delivered: Vec<u8> = out
-            .packets()
+        let delivered: Vec<u8> = decoded(&mut out)
             .iter()
             .map(|(to, p)| {
                 assert_eq!(*to, 2);
@@ -3035,7 +2951,7 @@ mod tests {
         .encode();
         b.on_datagram_into(0, 1, &wire, &mut out).unwrap();
 
-        let packets = out.packets();
+        let packets = decoded(&mut out);
         // PUBACK to the publisher + 4 forwards.
         assert_eq!(packets.len(), 5);
         let mut qos1_ids = Vec::new();
@@ -3067,14 +2983,13 @@ mod tests {
         // copies carry id 1 here, patched over the QoS 0 image's id 0.
         assert_eq!(qos1_ids, vec![1, 1]);
         // emit() is repeatable: patches restore every copy's own header.
-        assert_eq!(out.packets(), packets);
+        assert_eq!(decoded(&mut out), packets);
 
         // A second publish advances each subscriber's msg id to 2,
         // proving the patch really is per-copy, not a stale shared value.
         out.clear();
         b.on_datagram_into(1, 1, &wire, &mut out).unwrap();
-        let ids: Vec<u16> = out
-            .packets()
+        let ids: Vec<u16> = decoded(&mut out)
             .iter()
             .filter_map(|(_, p)| match p {
                 Packet::Publish {
@@ -3094,7 +3009,8 @@ mod tests {
         connect(&mut b, 1, "pub");
         connect(&mut b, 2, "sub");
         let tid = register(&mut b, 1, "t/id");
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             0,
             2,
             Packet::Subscribe {
@@ -3128,12 +3044,13 @@ mod tests {
         let tid = register(&mut b, 1, "t/cong");
         subscribe(&mut b, 2, "t/cong", QoS::AtLeastOnce);
         // The subscriber goes away; everything published now buffers.
-        b.on_packet(0, 2, Packet::Disconnect { duration: None });
+        feed(&mut b, 0, 2, Packet::Disconnect { duration: None });
         (b, tid)
     }
 
     fn publish_qos1(b: &mut Broker<Addr>, tid: u16, msg_id: u16) -> Vec<(Addr, Packet)> {
-        b.on_packet(
+        feed(
+            b,
             0,
             1,
             Packet::Publish {
@@ -3190,7 +3107,8 @@ mod tests {
         assert_eq!(b.congestion_level(), 2);
         // The subscriber comes back; the durable reconnect delivers its
         // backlog, and acknowledging each message drains the broker.
-        let delivered = b.on_packet(
+        let delivered = feed(
+            &mut b,
             1,
             2,
             Packet::Connect {
@@ -3201,7 +3119,8 @@ mod tests {
         );
         for (_, p) in delivered {
             if let Packet::Publish { msg_id, .. } = p {
-                b.on_packet(
+                feed(
+                    &mut b,
                     2,
                     2,
                     Packet::PubAck {
@@ -3214,7 +3133,7 @@ mod tests {
         }
         assert_eq!(b.congestion_level(), 0);
         // The next tick tells the (still-advised) publisher it cleared.
-        let out = b.on_tick(u64::MAX / 2);
+        let out = feed_tick(&mut b, u64::MAX / 2);
         assert!(
             out.iter()
                 .any(|(to, p)| *to == 1 && matches!(p, Packet::CongestionAdvisory { level: 0 })),
@@ -3250,7 +3169,8 @@ mod tests {
     fn hard_congestion_spares_qos2_duplicates() {
         let (mut b, tid) = congested_broker(true);
         // First QoS 2 publish while clear: accepted, forwarded (buffered).
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             0,
             1,
             Packet::Publish {
@@ -3273,7 +3193,8 @@ mod tests {
         // A DUP retransmission of the already-forwarded QoS 2 message
         // still completes the handshake; rejecting it would trigger a
         // duplicate replay of a delivered message.
-        let out = b.on_packet(
+        let out = feed(
+            &mut b,
             1,
             1,
             Packet::Publish {

@@ -2328,7 +2328,7 @@ mod tests {
             },
             Packet::Disconnect { duration: None },
         ] {
-            legacy.on_packet(0, away, packet);
+            legacy.on_packet_into(0, away, packet, &mut BrokerOutputs::new());
         }
         let old_id = legacy.registry_mut().id_of("lg/old").unwrap();
         prov_wal::snapshot::write_atomic(&path, &legacy.encode_state()).unwrap();

@@ -58,11 +58,12 @@ fn slot_hash(word: u64, len: usize) -> u64 {
 /// byte arena looked up through an open-addressed hash index, so `intern`
 /// never copies a string that is already present and never allocates once
 /// the arena/index have grown to their working-set size. Reusing one
-/// `Encoder` across batches (the transmitter does) makes the encode hot path
-/// allocation-free per record.
+/// `Encoder` across batches makes the encode hot path allocation-free per
+/// record; the transmitter gets that reuse through the thread-local
+/// `Encoder` behind [`encode_batch_into`], which
+/// [`Envelope::encode_into`](crate::Envelope::encode_into) calls.
 ///
-/// The output of [`Encoder::encode_batch_into`] is byte-identical to
-/// [`encode_batch`].
+/// A reused `Encoder` and a fresh one produce byte-identical batches.
 pub struct Encoder {
     /// Interned string bytes, concatenated in insertion order.
     arena: Vec<u8>,
@@ -187,33 +188,14 @@ pub fn encode_batch_into(records: &[Record], out: &mut Vec<u8>) {
     ENCODER.with(|e| e.borrow_mut().encode_batch_into(records, out));
 }
 
-/// Encodes a batch of records (the unit of grouping).
-pub fn encode_batch(records: &[Record]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(records.len() * 64);
-    encode_batch_into(records, &mut out);
-    out
-}
-
-/// Encodes a single record as a one-element batch.
-pub fn encode_record(record: &Record) -> Vec<u8> {
-    encode_batch(std::slice::from_ref(record))
-}
-
-/// Decodes a batch produced by [`encode_batch`].
+/// Decodes a batch into a caller-owned `Vec` (cleared first), recycling the
+/// record buffer and a thread-local string-table scratch across messages —
+/// the decode-side twin of [`encode_batch_into`].
 ///
 /// String-table entries are materialized once as `Arc<str>` and shared by
 /// every id, attribute name, and string value that references them — a
 /// record with 100 attributes named like another record's costs 100 refcount
 /// bumps, not 100 heap copies.
-pub fn decode_batch(buf: &[u8]) -> Result<Vec<Record>, CodecError> {
-    let mut records = Vec::new();
-    decode_batch_into(buf, &mut records)?;
-    Ok(records)
-}
-
-/// Decodes a batch into a caller-owned `Vec` (cleared first), recycling the
-/// record buffer and a thread-local string-table scratch across messages —
-/// the decode-side twin of [`encode_batch_into`].
 pub fn decode_batch_into(buf: &[u8], records: &mut Vec<Record>) -> Result<(), CodecError> {
     thread_local! {
         static STRINGS: RefCell<Vec<Arc<str>>> = const { RefCell::new(Vec::new()) };
@@ -238,12 +220,6 @@ pub fn decode_batch_into(buf: &[u8], records: &mut Vec<Record>) -> Result<(), Co
         }
         Ok(())
     })
-}
-
-/// Decodes a single record (one-element batch).
-pub fn decode_record(buf: &[u8]) -> Result<Record, CodecError> {
-    let mut records = decode_batch(buf)?;
-    records.pop().ok_or(CodecError::UnexpectedEof)
 }
 
 fn encode_record_into(out: &mut Vec<u8>, tab: &mut Encoder, record: &Record) {
@@ -512,6 +488,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn encode(records: &[Record]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_batch_into(records, &mut buf);
+        buf
+    }
+
+    fn decode(buf: &[u8]) -> Result<Vec<Record>, CodecError> {
+        let mut records = Vec::new();
+        decode_batch_into(buf, &mut records)?;
+        Ok(records)
+    }
+
     fn task(id: u64) -> TaskRecord {
         TaskRecord {
             id: Id::Num(id),
@@ -554,15 +542,15 @@ mod tests {
                 time_ns: 100,
             },
         ];
-        let buf = encode_batch(&records);
-        let back = decode_batch(&buf).unwrap();
+        let buf = encode(&records);
+        let back = decode(&buf).unwrap();
         assert_eq!(back, records);
     }
 
     #[test]
     fn single_record_roundtrip() {
         let r = record_with_attrs(3);
-        assert_eq!(decode_record(&encode_record(&r)).unwrap(), r);
+        assert_eq!(decode(&encode(std::slice::from_ref(&r))).unwrap(), [r]);
     }
 
     #[test]
@@ -570,8 +558,8 @@ mod tests {
         // Encoding two identical records in one batch must be much smaller
         // than twice one record, because attribute names are shared.
         let r = record_with_attrs(50);
-        let one = encode_batch(std::slice::from_ref(&r)).len();
-        let two = encode_batch(&[r.clone(), r]).len();
+        let one = encode(std::slice::from_ref(&r)).len();
+        let two = encode(&[r.clone(), r]).len();
         assert!(
             two < one + one / 2,
             "batch of 2 = {two}B vs single = {one}B: string table not shared"
@@ -581,7 +569,7 @@ mod tests {
     #[test]
     fn binary_is_much_smaller_than_debug_repr() {
         let r = record_with_attrs(100);
-        let bin = encode_record(&r).len();
+        let bin = encode(std::slice::from_ref(&r)).len();
         let dbg = format!("{r:?}").len();
         assert!(bin * 2 < dbg, "binary {bin}B vs debug {dbg}B");
     }
@@ -589,16 +577,16 @@ mod tests {
     #[test]
     fn truncated_input_is_an_error_not_a_panic() {
         let r = record_with_attrs(10);
-        let buf = encode_record(&r);
+        let buf = encode(std::slice::from_ref(&r));
         for cut in 0..buf.len() {
-            let _ = decode_batch(&buf[..cut]); // must not panic
+            let _ = decode(&buf[..cut]); // must not panic
         }
     }
 
     #[test]
     fn bad_tag_rejected() {
         let buf = vec![1, 0, 0xee];
-        assert_eq!(decode_batch(&buf), Err(CodecError::BadTag(0xee)));
+        assert_eq!(decode(&buf), Err(CodecError::BadTag(0xee)));
     }
 
     #[test]
@@ -615,7 +603,7 @@ mod tests {
             task: task(1),
             outputs: vec![d],
         };
-        assert_eq!(decode_record(&encode_record(&rec)).unwrap(), rec);
+        assert_eq!(decode(&encode(std::slice::from_ref(&rec))).unwrap(), [rec]);
     }
 
     fn arb_value() -> impl Strategy<Value = AttrValue> {
@@ -698,13 +686,13 @@ mod tests {
 
         #[test]
         fn prop_batch_roundtrip(records in proptest::collection::vec(arb_record(), 0..8)) {
-            let buf = encode_batch(&records);
-            prop_assert_eq!(decode_batch(&buf).unwrap(), records);
+            let buf = encode(&records);
+            prop_assert_eq!(decode(&buf).unwrap(), records);
         }
 
         #[test]
         fn prop_decode_arbitrary_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-            let _ = decode_batch(&bytes);
+            let _ = decode(&bytes);
         }
     }
 }

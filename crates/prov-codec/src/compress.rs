@@ -34,9 +34,9 @@ fn hash3(data: &[u8], i: usize) -> usize {
 
 /// Reusable match-finder state for [`compress_into`].
 ///
-/// The hash-chain tables are ~48 KiB; allocating them per call dominated the
-/// old `compress` cost for small payloads. One scratch reused across calls
-/// (the transmitter holds one per thread) makes compression allocation-free
+/// The hash-chain tables are ~48 KiB; allocating them per call would dominate
+/// the cost for small payloads. One scratch reused across calls (the
+/// thread-local behind [`compress_into`]) makes compression allocation-free
 /// apart from output growth.
 pub struct CompressScratch {
     /// `head[h]` = most recent position with hash `h` (+1, 0 = none).
@@ -59,18 +59,10 @@ thread_local! {
 }
 
 /// Compresses `input`, appending to `out` (not cleared), reusing a
-/// thread-local [`CompressScratch`]. Output bytes are identical to
-/// [`compress`].
+/// thread-local [`CompressScratch`]. The output starts with the
+/// uncompressed length as a LEB128 varint, followed by the token stream.
 pub fn compress_into(input: &[u8], out: &mut Vec<u8>) {
     SCRATCH.with(|s| compress_with(&mut s.borrow_mut(), input, out));
-}
-
-/// Compresses `input`. The output always starts with the uncompressed length
-/// as a LEB128 varint, followed by the token stream.
-pub fn compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    compress_into(input, &mut out);
-    out
 }
 
 /// Compresses `input` into `out` using caller-owned scratch tables.
@@ -170,13 +162,6 @@ pub fn compress_with(scratch: &mut CompressScratch, input: &[u8], out: &mut Vec<
     }
 }
 
-/// Decompresses a buffer produced by [`compress`].
-pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::new();
-    decompress_into(input, &mut out)?;
-    Ok(out)
-}
-
 /// Decompresses into a caller-owned buffer (cleared first), so the decode
 /// loop of a long-lived server can recycle one scratch allocation across
 /// messages.
@@ -230,6 +215,18 @@ pub fn decompress_into(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn compress(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        compress_into(input, &mut out);
+        out
+    }
+
+    fn decompress(input: &[u8]) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::new();
+        decompress_into(input, &mut out)?;
+        Ok(out)
+    }
 
     #[test]
     fn empty_roundtrip() {

@@ -20,30 +20,14 @@ const MAGIC: u8 = 0xA7;
 const VERSION: u8 = 1;
 const FLAG_COMPRESSED: u8 = 0x01;
 
-/// A decoded envelope.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Envelope {
-    /// The records carried by this message.
-    pub records: Vec<Record>,
-    /// Whether the payload was compressed on the wire.
-    pub was_compressed: bool,
-}
+/// The envelope's encode/decode entry points.
+pub struct Envelope;
 
 impl Envelope {
-    /// Encodes `records` into a wire message.
-    ///
-    /// When `use_compression` is set, the payload is compressed and the
-    /// smaller of the two forms is kept.
-    pub fn encode(records: &[Record], use_compression: bool) -> Vec<u8> {
-        let mut out = Vec::new();
-        Envelope::encode_into(records, use_compression, &mut out);
-        out
-    }
-
     /// Encodes `records` into a caller-owned buffer (appending), reusing
     /// thread-local scratch for the intermediate raw/compressed forms so the
-    /// steady state allocates nothing. Output bytes are identical to
-    /// [`Envelope::encode`].
+    /// steady state allocates nothing. When `use_compression` is set, the
+    /// payload is compressed and the smaller of the two forms is kept.
     pub fn encode_into(records: &[Record], use_compression: bool, out: &mut Vec<u8>) {
         thread_local! {
             static FRAME_SCRATCH: RefCell<(Vec<u8>, Vec<u8>)> =
@@ -72,16 +56,6 @@ impl Envelope {
             out.extend_from_slice(payload);
         });
         // lint: zero-alloc-end
-    }
-
-    /// Decodes a wire message.
-    pub fn decode(buf: &[u8]) -> Result<Envelope, CodecError> {
-        let mut records = Vec::new();
-        let was_compressed = Envelope::decode_into(buf, &mut records)?;
-        Ok(Envelope {
-            records,
-            was_compressed,
-        })
     }
 
     /// Decodes a wire message into a caller-owned record buffer (cleared
@@ -156,22 +130,33 @@ mod tests {
         }]
     }
 
+    fn encode(recs: &[Record], use_compression: bool) -> Vec<u8> {
+        let mut wire = Vec::new();
+        Envelope::encode_into(recs, use_compression, &mut wire);
+        wire
+    }
+
+    /// Decoded records and the compressed flag.
+    fn decode(wire: &[u8]) -> Result<(Vec<Record>, bool), CodecError> {
+        let mut recs = Vec::new();
+        let compressed = Envelope::decode_into(wire, &mut recs)?;
+        Ok((recs, compressed))
+    }
+
     #[test]
     fn roundtrip_compressed_and_raw() {
         for compression in [true, false] {
             let recs = records(100);
-            let wire = Envelope::encode(&recs, compression);
-            let env = Envelope::decode(&wire).unwrap();
-            assert_eq!(env.records, recs);
-            assert_eq!(env.was_compressed, compression);
+            let wire = encode(&recs, compression);
+            assert_eq!(decode(&wire).unwrap(), (recs, compression));
         }
     }
 
     #[test]
     fn compression_reduces_attribute_heavy_payloads() {
         let recs = records(100);
-        let raw = Envelope::encode(&recs, false).len();
-        let packed = Envelope::encode(&recs, true).len();
+        let raw = encode(&recs, false).len();
+        let packed = encode(&recs, true).len();
         assert!(
             (packed as f64) < raw as f64 * 0.8,
             "compressed {packed}B raw {raw}B"
@@ -185,22 +170,20 @@ mod tests {
             workflow: Id::Num(1),
             time_ns: 0,
         }];
-        let wire = Envelope::encode(&recs, true);
-        let env = Envelope::decode(&wire).unwrap();
-        assert!(!env.was_compressed);
-        assert_eq!(env.records, recs);
+        let wire = encode(&recs, true);
+        assert_eq!(decode(&wire).unwrap(), (recs, false));
     }
 
     #[test]
     fn bad_magic_and_version_rejected() {
         let recs = records(1);
-        let mut wire = Envelope::encode(&recs, false);
+        let mut wire = encode(&recs, false);
         wire[0] = 0x00;
-        assert!(Envelope::decode(&wire).is_err());
-        let mut wire = Envelope::encode(&recs, false);
+        assert!(decode(&wire).is_err());
+        let mut wire = encode(&recs, false);
         wire[1] = 99;
-        assert!(Envelope::decode(&wire).is_err());
-        assert!(Envelope::decode(&[]).is_err());
+        assert!(decode(&wire).is_err());
+        assert!(decode(&[]).is_err());
     }
 
     #[test]
@@ -208,7 +191,7 @@ mod tests {
         let recs = records(10);
         assert_eq!(
             Envelope::encoded_len(&recs, true),
-            Envelope::encode(&recs, true).len()
+            encode(&recs, true).len()
         );
     }
 }

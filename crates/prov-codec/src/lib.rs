@@ -7,7 +7,7 @@
 //! * **provenance data representation** — a compact binary encoding of the
 //!   simplified `Workflow`/`Task`/`Data` model ([`binary`]);
 //! * **payload compression** — bytes are compressed before transmission
-//!   ([`compress`](crate::compress()), an in-repo LZSS implementation with no external
+//!   ([`compress`], an in-repo LZSS implementation with no external
 //!   dependencies);
 //! * **grouping of captured data** — several records are framed into one
 //!   message ([`frame`]).
@@ -22,10 +22,8 @@ pub mod frame;
 pub mod json;
 pub mod varint;
 
-pub use binary::{
-    decode_batch, decode_record, encode_batch, encode_batch_into, encode_record, Encoder,
-};
-pub use compress::{compress, compress_into, decompress, CompressScratch};
+pub use binary::{encode_batch_into, Encoder};
+pub use compress::{compress_into, CompressScratch};
 pub use frame::Envelope;
 pub use json::{record_to_json, records_to_json, JsonError, JsonStyle, JsonValue};
 

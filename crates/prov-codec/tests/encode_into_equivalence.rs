@@ -1,11 +1,12 @@
-//! Property tests: the `*_into` scratch-buffer APIs must produce bytes
-//! identical to the legacy allocating APIs, including when their scratch is
-//! dirty from arbitrary earlier inputs.
+//! Property tests: the `*_into` scratch-buffer APIs must produce the same
+//! bytes from reused (dirty) scratch as from fresh scratch, whatever the
+//! earlier inputs were.
 
 use proptest::prelude::*;
-use prov_codec::compress::{compress, compress_into, compress_with, decompress, CompressScratch};
+use prov_codec::binary::decode_batch_into;
+use prov_codec::compress::{compress_into, compress_with, decompress_into, CompressScratch};
 use prov_codec::frame::Envelope;
-use prov_codec::{decode_batch, encode_batch, Encoder};
+use prov_codec::Encoder;
 use prov_model::{AttrValue, DataRecord, Id, Record, TaskRecord, TaskStatus};
 
 fn arb_value() -> BoxedStrategy<AttrValue> {
@@ -86,25 +87,39 @@ fn arb_record() -> BoxedStrategy<Record> {
     .boxed()
 }
 
+/// The batch a fresh `Encoder` writes into a fresh buffer.
+fn fresh_batch(records: &[Record]) -> Vec<u8> {
+    let mut out = Vec::new();
+    Encoder::new().encode_batch_into(records, &mut out);
+    out
+}
+
+/// The token stream fresh compression scratch writes into a fresh buffer.
+fn fresh_compress(input: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    compress_with(&mut CompressScratch::default(), input, &mut out);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// A reused (dirty) `Encoder` writing into a reused output buffer must
-    /// produce exactly the bytes of the allocating `encode_batch`, batch
-    /// after batch.
+    /// produce exactly the bytes of a fresh `Encoder`, batch after batch.
     #[test]
     fn encode_batch_into_matches_legacy_bytes(
         batches in proptest::collection::vec(proptest::collection::vec(arb_record(), 0..6), 1..5),
     ) {
         let mut encoder = Encoder::new();
         let mut out = Vec::new();
+        let mut back = Vec::new();
         for batch in &batches {
-            let legacy = encode_batch(batch);
             out.clear();
             encoder.encode_batch_into(batch, &mut out);
-            prop_assert_eq!(&out, &legacy, "reused-encoder bytes diverge");
+            prop_assert_eq!(&out, &fresh_batch(batch), "reused-encoder bytes diverge");
             // And the bytes round-trip.
-            prop_assert_eq!(decode_batch(&out).unwrap(), batch.clone());
+            decode_batch_into(&out, &mut back).unwrap();
+            prop_assert_eq!(&back, batch);
         }
     }
 
@@ -117,7 +132,7 @@ proptest! {
         let mut out = prefix.clone();
         prov_codec::encode_batch_into(&records, &mut out);
         prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
-        prop_assert_eq!(&out[prefix.len()..], &encode_batch(&records)[..]);
+        prop_assert_eq!(&out[prefix.len()..], &fresh_batch(&records)[..]);
     }
 
     /// Reused compression scratch must not change the emitted token stream.
@@ -127,33 +142,44 @@ proptest! {
     ) {
         let mut scratch = CompressScratch::default();
         let mut out = Vec::new();
+        let mut back = Vec::new();
         for input in &inputs {
-            let legacy = compress(input);
+            let fresh = fresh_compress(input);
             out.clear();
             compress_with(&mut scratch, input, &mut out);
-            prop_assert_eq!(&out, &legacy, "reused-scratch compression diverges");
+            prop_assert_eq!(&out, &fresh, "reused-scratch compression diverges");
             let mut appended = vec![0xEE];
             compress_into(input, &mut appended);
-            prop_assert_eq!(&appended[1..], &legacy[..]);
-            prop_assert_eq!(decompress(&out).unwrap(), input.clone());
+            prop_assert_eq!(&appended[1..], &fresh[..]);
+            decompress_into(&out, &mut back).unwrap();
+            prop_assert_eq!(&back, input);
         }
     }
 
-    /// Envelope::encode_into must equal Envelope::encode for both
-    /// compression settings, with reused output buffers.
+    /// `Envelope::encode_into` into a reused buffer must equal the header
+    /// plus the smaller of the fresh raw and fresh compressed batch, for
+    /// both compression settings.
     #[test]
     fn envelope_encode_into_matches_legacy_bytes(
         batches in proptest::collection::vec(proptest::collection::vec(arb_record(), 0..6), 1..4),
         use_compression: bool,
     ) {
         let mut out = Vec::new();
+        let mut back = Vec::new();
         for batch in &batches {
-            let legacy = Envelope::encode(batch, use_compression);
+            let raw = fresh_batch(batch);
+            let packed = fresh_compress(&raw);
+            let expected = if use_compression && packed.len() < raw.len() {
+                [&[0xA7, 1, 1][..], &packed].concat()
+            } else {
+                [&[0xA7, 1, 0][..], &raw].concat()
+            };
             out.clear();
             Envelope::encode_into(batch, use_compression, &mut out);
-            prop_assert_eq!(&out, &legacy);
-            prop_assert_eq!(Envelope::encoded_len(batch, use_compression), legacy.len());
-            prop_assert_eq!(Envelope::decode(&out).unwrap().records, batch.clone());
+            prop_assert_eq!(&out, &expected);
+            prop_assert_eq!(Envelope::encoded_len(batch, use_compression), expected.len());
+            Envelope::decode_into(&out, &mut back).unwrap();
+            prop_assert_eq!(&back, batch);
         }
     }
 }

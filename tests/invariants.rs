@@ -101,9 +101,10 @@ proptest! {
         records in proptest::collection::vec(arb_record(), 1..20),
         compress: bool,
     ) {
-        let wire = Envelope::encode(&records, compress);
-        let decoded = Envelope::decode(&wire).unwrap();
-        prop_assert_eq!(decoded.records, records);
+        let (mut wire, mut decoded) = (Vec::new(), Vec::new());
+        Envelope::encode_into(&records, compress, &mut wire);
+        Envelope::decode_into(&wire, &mut decoded).unwrap();
+        prop_assert_eq!(decoded, records);
     }
 
     /// Store ingestion invariants hold for arbitrary (even nonsensical)

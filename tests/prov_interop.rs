@@ -4,13 +4,22 @@
 //! all without sockets, exercising the sans-io path across every crate.
 
 use provlight::core::translator::{DfAnalyzerTranslator, ProvDocumentTranslator, Translator};
-use provlight::mqtt_sn::broker::{Broker, BrokerConfig};
+use provlight::mqtt_sn::broker::{Broker, BrokerConfig, BrokerOutputs};
 use provlight::mqtt_sn::packet::{Packet, QoS, TopicRef};
 use provlight::prov_codec::frame::Envelope;
 use provlight::prov_model::{Id, Record};
 use provlight::prov_store::query::Query;
 use provlight::workload::schedule::{generate, Step};
 use provlight::workload::spec::WorkloadSpec;
+
+/// Runs one packet through the broker and decodes every datagram it sends.
+fn feed(b: &mut Broker<u8>, now: u64, from: u8, p: Packet) -> Vec<(u8, Packet)> {
+    let mut out = BrokerOutputs::new();
+    b.on_packet_into(now, from, p, &mut out);
+    let mut sent = Vec::new();
+    out.emit(|to, bytes| sent.push((*to, Packet::decode(bytes).unwrap())));
+    sent
+}
 
 /// Pushes every emitted record of a Table I workload through the broker
 /// as QoS 2 envelopes and returns what the subscriber receives.
@@ -19,7 +28,8 @@ fn roundtrip_through_broker(records: Vec<Record>) -> Vec<Record> {
     let publisher = 1u8;
     let subscriber = 2u8;
 
-    broker.on_packet(
+    feed(
+        &mut broker,
         0,
         publisher,
         Packet::Connect {
@@ -28,7 +38,8 @@ fn roundtrip_through_broker(records: Vec<Record>) -> Vec<Record> {
             client_id: "pub".into(),
         },
     );
-    broker.on_packet(
+    feed(
+        &mut broker,
         0,
         subscriber,
         Packet::Connect {
@@ -37,7 +48,8 @@ fn roundtrip_through_broker(records: Vec<Record>) -> Vec<Record> {
             client_id: "sub".into(),
         },
     );
-    let out = broker.on_packet(
+    let out = feed(
+        &mut broker,
         0,
         publisher,
         Packet::Register {
@@ -50,7 +62,8 @@ fn roundtrip_through_broker(records: Vec<Record>) -> Vec<Record> {
         Packet::RegAck { topic_id, .. } => topic_id,
         ref p => panic!("{p:?}"),
     };
-    broker.on_packet(
+    feed(
+        &mut broker,
         0,
         subscriber,
         Packet::Subscribe {
@@ -63,8 +76,10 @@ fn roundtrip_through_broker(records: Vec<Record>) -> Vec<Record> {
 
     let mut received = Vec::new();
     for (i, record) in records.iter().enumerate() {
-        let payload = Envelope::encode(std::slice::from_ref(record), true);
-        let outs = broker.on_packet(
+        let mut payload = Vec::new();
+        Envelope::encode_into(std::slice::from_ref(record), true, &mut payload);
+        let outs = feed(
+            &mut broker,
             i as u64,
             publisher,
             Packet::Publish {
@@ -79,13 +94,15 @@ fn roundtrip_through_broker(records: Vec<Record>) -> Vec<Record> {
         for (to, p) in outs {
             if to == subscriber {
                 if let Packet::Publish { payload, .. } = p {
-                    let env = Envelope::decode(&payload).expect("decodable envelope");
-                    received.extend(env.records);
+                    let mut env = Vec::new();
+                    Envelope::decode_into(&payload, &mut env).expect("decodable envelope");
+                    received.extend(env);
                 }
             }
         }
         // Complete the publisher-side QoS 2 handshake.
-        broker.on_packet(
+        feed(
+            &mut broker,
             i as u64,
             publisher,
             Packet::PubRel {
@@ -173,10 +190,12 @@ fn grouped_envelopes_roundtrip_identically() {
         .collect();
 
     for chunk_size in [1usize, 10, 50] {
-        let mut back = Vec::new();
+        let (mut back, mut wire, mut decoded) = (Vec::new(), Vec::new(), Vec::new());
         for chunk in records.chunks(chunk_size) {
-            let wire = Envelope::encode(chunk, true);
-            back.extend(Envelope::decode(&wire).unwrap().records);
+            wire.clear();
+            Envelope::encode_into(chunk, true, &mut wire);
+            Envelope::decode_into(&wire, &mut decoded).unwrap();
+            back.append(&mut decoded);
         }
         assert_eq!(back, records, "chunk size {chunk_size}");
     }

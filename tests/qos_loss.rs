@@ -6,12 +6,33 @@
 //! QoS 2 delivers **exactly once** despite drops and retransmissions;
 //! QoS 1 delivers at least once.
 
-use provlight::mqtt_sn::broker::{Broker, BrokerConfig};
+use provlight::mqtt_sn::broker::{Broker, BrokerConfig, BrokerOutputs};
 use provlight::mqtt_sn::client::{Client, ClientConfig, ClientEvent, Output};
 use provlight::mqtt_sn::packet::{Packet, QoS, TopicRef};
 use provlight::net_sim::loss::LossModel;
 use std::collections::VecDeque;
 use std::time::Duration;
+
+/// Decodes every datagram the broker produced, in emit order.
+fn decoded(out: &mut BrokerOutputs<u8>) -> Vec<(u8, Packet)> {
+    let mut sent = Vec::new();
+    out.emit(|to, bytes| sent.push((*to, Packet::decode(bytes).unwrap())));
+    sent
+}
+
+/// Runs one packet through the broker and decodes what it sends.
+fn feed(b: &mut Broker<u8>, now: u64, from: u8, p: Packet) -> Vec<(u8, Packet)> {
+    let mut out = BrokerOutputs::new();
+    b.on_packet_into(now, from, p, &mut out);
+    decoded(&mut out)
+}
+
+/// Runs one broker tick and decodes what it sends.
+fn feed_tick(b: &mut Broker<u8>, now: u64) -> Vec<(u8, Packet)> {
+    let mut out = BrokerOutputs::new();
+    b.on_tick_into(now, &mut out);
+    decoded(&mut out)
+}
 
 /// A virtual lossy network between one client and the broker.
 struct LossyWorld {
@@ -84,7 +105,7 @@ impl LossyWorld {
                     continue;
                 }
                 if to_broker {
-                    let outs = self.broker.on_packet(self.now, CLIENT_ADDR, packet);
+                    let outs = feed(&mut self.broker, self.now, CLIENT_ADDR, packet);
                     for (_, p) in outs {
                         self.queue.push_back((false, p));
                     }
@@ -97,7 +118,7 @@ impl LossyWorld {
             self.now += TICK;
             let outs = self.client.on_tick(self.now);
             self.dispatch_client(outs);
-            for (_, p) in self.broker.on_tick(self.now) {
+            for (_, p) in feed_tick(&mut self.broker, self.now) {
                 self.queue.push_back((false, p));
             }
             if self.queue.is_empty()
@@ -309,7 +330,7 @@ fn broker_restart_during_qos2_handshake_stays_exactly_once() {
     // its PUBREC.
     while let Some((to_broker, packet)) = world.queue.pop_front() {
         if to_broker {
-            let _lost = world.broker.on_packet(world.now, CLIENT_ADDR, packet);
+            let _lost = feed(&mut world.broker, world.now, CLIENT_ADDR, packet);
         }
     }
     assert_eq!(world.client.inflight_len(), 1);

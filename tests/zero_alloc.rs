@@ -14,6 +14,8 @@
 
 use provlight::core::config::GroupPolicy;
 use provlight::core::grouping::{Emit, Grouper};
+use provlight::mqtt_sn::broker::{Broker, BrokerOutputs};
+use provlight::mqtt_sn::packet::Packet;
 use provlight::prov_codec::frame::Envelope;
 use provlight::prov_model::{DataRecord, Id, Record, TaskRecord, TaskStatus};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -52,6 +54,15 @@ static COUNTER: CountingAlloc = CountingAlloc;
 /// Allocations made so far by the calling thread.
 fn allocations() -> usize {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Runs one setup packet through the broker and decodes what it sends.
+fn feed(b: &mut Broker<u32>, from: u32, p: Packet) -> Vec<(u32, Packet)> {
+    let mut out = BrokerOutputs::new();
+    b.on_packet_into(0, from, p, &mut out);
+    let mut sent = Vec::new();
+    out.emit(|to, bytes| sent.push((*to, Packet::decode(bytes).unwrap())));
+    sent
 }
 
 fn record(i: u64, attrs: usize) -> Record {
@@ -146,15 +157,14 @@ fn steady_state_capture_path_allocates_zero_per_record() {
 /// perform **zero** heap allocations per packet once buffers are warm.
 #[test]
 fn steady_state_broker_forwarding_allocates_zero_per_packet() {
-    use provlight::mqtt_sn::broker::{Broker, BrokerConfig, BrokerOutputs};
-    use provlight::mqtt_sn::packet::{Packet, PacketRef, QoS, TopicRef};
+    use provlight::mqtt_sn::broker::BrokerConfig;
+    use provlight::mqtt_sn::packet::{PacketRef, QoS, TopicRef};
 
     let mut broker: Broker<u32> = Broker::new(BrokerConfig::default());
     let publisher = 0u32;
     let qos1_sub = 9u32;
-    let setup = |b: &mut Broker<u32>, from: u32, p: Packet| b.on_packet(0, from, p);
     for (addr, id) in (0..10u32).map(|a| (a, format!("c{a}"))) {
-        setup(
+        feed(
             &mut broker,
             addr,
             Packet::Connect {
@@ -164,8 +174,8 @@ fn steady_state_broker_forwarding_allocates_zero_per_packet() {
             },
         );
     }
-    let out = broker.on_packet(
-        0,
+    let out = feed(
+        &mut broker,
         publisher,
         Packet::Register {
             topic_id: 0,
@@ -178,7 +188,7 @@ fn steady_state_broker_forwarding_allocates_zero_per_packet() {
         ref p => panic!("unexpected {p:?}"),
     };
     for addr in 1..=8u32 {
-        setup(
+        feed(
             &mut broker,
             addr,
             Packet::Subscribe {
@@ -189,7 +199,7 @@ fn steady_state_broker_forwarding_allocates_zero_per_packet() {
             },
         );
     }
-    setup(
+    feed(
         &mut broker,
         qos1_sub,
         Packet::Subscribe {
@@ -275,8 +285,8 @@ fn steady_state_broker_forwarding_allocates_zero_per_packet() {
 /// brokers' buffers are warm.
 #[test]
 fn steady_state_cross_shard_forwarding_allocates_zero_per_packet() {
-    use provlight::mqtt_sn::broker::{Broker, BrokerConfig, BrokerOutputs};
-    use provlight::mqtt_sn::packet::{Packet, QoS, TopicRef};
+    use provlight::mqtt_sn::broker::BrokerConfig;
+    use provlight::mqtt_sn::packet::{QoS, TopicRef};
     use provlight::mqtt_sn::{ForwardFabric, SharedRouter};
 
     let router = SharedRouter::new(2);
@@ -285,8 +295,8 @@ fn steady_state_cross_shard_forwarding_allocates_zero_per_packet() {
     let mut shard1: Broker<u32> = Broker::new(BrokerConfig::default());
 
     let publisher = 0u32;
-    shard0.on_packet(
-        0,
+    feed(
+        &mut shard0,
         publisher,
         Packet::Connect {
             clean_session: true,
@@ -299,8 +309,8 @@ fn steady_state_cross_shard_forwarding_allocates_zero_per_packet() {
     assert!(shard1.mirror_topic(tid, "z/x"));
 
     let subscriber = 1u32;
-    shard1.on_packet(
-        0,
+    feed(
+        &mut shard1,
         subscriber,
         Packet::Connect {
             clean_session: true,
@@ -308,8 +318,8 @@ fn steady_state_cross_shard_forwarding_allocates_zero_per_packet() {
             client_id: "sub".into(),
         },
     );
-    shard1.on_packet(
-        0,
+    feed(
+        &mut shard1,
         subscriber,
         Packet::Subscribe {
             dup: false,
@@ -410,19 +420,24 @@ fn steady_state_cross_shard_forwarding_allocates_zero_per_packet() {
     assert_eq!(shard1.stats().publishes_in, 0, "delivery is not re-ingest");
 }
 
-/// The legacy allocating path, measured the same way, is decidedly not
-/// allocation-free — guarding against the zero assertion above passing
-/// vacuously (e.g. a broken counter).
+/// Encoding into a fresh `Vec` per call, measured the same way, is
+/// decidedly not allocation-free — guarding against the zero assertions
+/// above passing vacuously (e.g. a broken counter).
 #[test]
 fn legacy_allocating_path_is_counted() {
     let records: Vec<Record> = (0..GROUP as u64).map(|i| record(i, ATTRS)).collect();
-    // Warm the thread-local scratch used inside Envelope::encode.
+    let encode_fresh = || {
+        let mut wire = Vec::new();
+        Envelope::encode_into(&records, true, &mut wire);
+        std::hint::black_box(wire);
+    };
+    // Warm the thread-local scratch used inside Envelope::encode_into.
     for _ in 0..4 {
-        std::hint::black_box(Envelope::encode(&records, true));
+        encode_fresh();
     }
     let before = allocations();
     for _ in 0..16 {
-        std::hint::black_box(Envelope::encode(&records, true));
+        encode_fresh();
     }
     let allocs = allocations() - before;
     assert!(
