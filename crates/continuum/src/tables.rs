@@ -748,7 +748,7 @@ fn sharded_counters() -> ShardedCounters {
 /// messages (exactly accounted in its drop counter).
 ///
 /// The trailing rows come from the deterministic sharded-gateway
-/// experiment ([`sharded_counters`]): per-shard backlog, cross-shard
+/// experiment (`sharded_counters`): per-shard backlog, cross-shard
 /// forward counts, and ring occupancy. Those counters do not depend on
 /// congestion signaling, so both columns show the same run.
 pub fn resilience() -> ResilienceResult {

@@ -600,14 +600,22 @@ impl<A: Clone + Eq + Hash> Broker<A> {
     /// payloads are never copied into an owned `Vec`), state-machine
     /// dispatch, and wire encoding into `out`. Decode failures are
     /// counted in [`BrokerStats::decode_errors`] and returned.
-    pub fn on_datagram_into(
+    ///
+    /// The verdict is for sharded transports: `Ok(true)` when the
+    /// datagram carried a PUBLISH that this broker accepted for fan-out
+    /// (first receipt, valid topic id, not congestion-rejected) — exactly
+    /// the cases a sharded front must also forward to the other shards'
+    /// subscribers. QoS 2 duplicates and rejected publishes return
+    /// `Ok(false)`, so a message can never cross the shard boundary twice.
+    pub fn on_datagram_routed(
         &mut self,
         now: Nanos,
         from: A,
         datagram: &[u8],
         out: &mut BrokerOutputs<A>,
-    ) -> Result<(), Error> {
+    ) -> Result<bool, Error> {
         // lint: zero-alloc-begin
+        self.last_publish_forwarded = false;
         let mut sink = WireSink::new(out);
         match Packet::decode_borrowed(datagram) {
             Ok(PacketRef::Publish {
@@ -621,37 +629,13 @@ impl<A: Clone + Eq + Hash> Broker<A> {
                     s.last_seen = now;
                 }
                 self.handle_publish(now, from, qos, topic, msg_id, payload, &mut sink);
-                Ok(())
             }
-            Ok(PacketRef::Owned(p)) => {
-                self.dispatch(now, from, p, &mut sink);
-                Ok(())
-            }
+            Ok(PacketRef::Owned(p)) => self.dispatch(now, from, p, &mut sink),
             Err(e) => {
                 self.stats.decode_errors += 1;
-                Err(e)
+                return Err(e);
             }
         }
-        // lint: zero-alloc-end
-    }
-
-    /// [`Broker::on_datagram_into`] plus a routing verdict for sharded
-    /// transports: `Ok(true)` when the datagram carried a PUBLISH that
-    /// this broker accepted for fan-out (first receipt, valid topic id,
-    /// not congestion-rejected) — exactly the cases a sharded front must
-    /// also forward to the other shards' subscribers. QoS 2 duplicates
-    /// and rejected publishes return `Ok(false)`, so a message can never
-    /// cross the shard boundary twice.
-    pub fn on_datagram_routed(
-        &mut self,
-        now: Nanos,
-        from: A,
-        datagram: &[u8],
-        out: &mut BrokerOutputs<A>,
-    ) -> Result<bool, Error> {
-        // lint: zero-alloc-begin
-        self.last_publish_forwarded = false;
-        self.on_datagram_into(now, from, datagram, out)?;
         Ok(self.last_publish_forwarded)
         // lint: zero-alloc-end
     }
@@ -2851,7 +2835,7 @@ mod tests {
     fn datagram_path_decodes_and_counts_errors() {
         let mut b = broker();
         let mut out = BrokerOutputs::new();
-        b.on_datagram_into(
+        b.on_datagram_routed(
             0,
             1,
             &Packet::Connect {
@@ -2866,8 +2850,10 @@ mod tests {
         assert!(matches!(decoded(&mut out)[0].1, Packet::ConnAck { .. }));
 
         out.clear();
-        assert!(b.on_datagram_into(0, 1, b"\xff garbage", &mut out).is_err());
-        assert!(b.on_datagram_into(0, 1, &[], &mut out).is_err());
+        assert!(b
+            .on_datagram_routed(0, 1, b"\xff garbage", &mut out)
+            .is_err());
+        assert!(b.on_datagram_routed(0, 1, &[], &mut out).is_err());
         assert_eq!(b.stats().decode_errors, 2);
         assert!(out.is_empty());
 
@@ -2949,7 +2935,7 @@ mod tests {
             payload: vec![0x42; 64],
         }
         .encode();
-        b.on_datagram_into(0, 1, &wire, &mut out).unwrap();
+        b.on_datagram_routed(0, 1, &wire, &mut out).unwrap();
 
         let packets = decoded(&mut out);
         // PUBACK to the publisher + 4 forwards.
@@ -2988,7 +2974,7 @@ mod tests {
         // A second publish advances each subscriber's msg id to 2,
         // proving the patch really is per-copy, not a stale shared value.
         out.clear();
-        b.on_datagram_into(1, 1, &wire, &mut out).unwrap();
+        b.on_datagram_routed(1, 1, &wire, &mut out).unwrap();
         let ids: Vec<u16> = decoded(&mut out)
             .iter()
             .filter_map(|(_, p)| match p {

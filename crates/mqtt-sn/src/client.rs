@@ -1,18 +1,21 @@
 //! Sans-io MQTT-SN client state machine.
 //!
 //! The client never touches a socket or a clock: callers feed it inbound
-//! packets ([`Client::on_packet`]) and time ([`Client::on_tick`]), and it
-//! returns packets to send plus events to surface. The same machine backs
-//! the real-UDP binding in [`crate::net`] and the discrete-event simulator
-//! used for the paper's experiments.
+//! datagrams ([`Client::on_datagram`]) and time ([`Client::on_tick`]), and
+//! it encodes the datagrams to send and queues the events to surface in a
+//! caller-owned [`ClientOutputs`]. The real-UDP binding in [`crate::net`]
+//! and the lossy-channel tests drive this machine; the paper's
+//! discrete-event simulator (`core::sim`) is a calibrated cost model that
+//! does not run it.
 //!
 //! Retransmission follows the spec's `Tretry`/`Nretry` scheme: QoS 1/2
 //! messages are re-sent with the DUP flag until acknowledged or the retry
 //! budget is exhausted.
 
-use crate::packet::{Packet, PacketRef, QoS, ReturnCode, TopicRef};
+use crate::packet::{encode_publish_into, Packet, PacketRef, QoS, ReturnCode, TopicRef};
 use crate::Error;
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::time::Duration;
 
 /// Monotonic virtual or real time in nanoseconds.
@@ -130,13 +133,45 @@ pub enum ClientEvent {
     },
 }
 
-/// What the state machine wants the caller to do.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Output {
-    /// Transmit this packet to the broker.
-    Send(Packet),
-    /// Surface this event to the application.
-    Event(ClientEvent),
+/// Where the client writes what it wants done: every outbound datagram
+/// encoded into one shared wire buffer, plus the events to surface. The
+/// caller owns it and reuses it across calls, so the steady-state publish
+/// path allocates nothing.
+#[derive(Debug, Default)]
+pub struct ClientOutputs {
+    wire: Vec<u8>,
+    datagrams: Vec<Range<usize>>,
+    /// Events for the application, oldest first.
+    pub events: VecDeque<ClientEvent>,
+}
+
+impl ClientOutputs {
+    /// Creates empty outputs (allocates lazily on first use).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Yields each pending datagram in production order, then forgets
+    /// them (capacity retained). Queued events are left alone.
+    pub fn emit(&mut self, mut f: impl FnMut(&[u8])) {
+        // lint: zero-alloc-begin
+        for range in self.datagrams.drain(..) {
+            f(&self.wire[range]);
+        }
+        self.wire.clear();
+        // lint: zero-alloc-end
+    }
+
+    fn send(&mut self, packet: &Packet) {
+        let start = self.wire.len();
+        packet.encode_into(&mut self.wire);
+        self.datagrams.push(start..self.wire.len());
+    }
+
+    fn send_publish(&mut self, dup: bool, qos: QoS, topic: &TopicRef, msg_id: u16, payload: &[u8]) {
+        let w = encode_publish_into(dup, qos, false, topic, msg_id, payload, &mut self.wire);
+        self.datagrams.push(w.start..w.end);
+    }
 }
 
 /// Which acknowledgement an in-flight outbound message is waiting for.
@@ -159,7 +194,6 @@ struct InFlight {
     topic: TopicRef,
     payload: Vec<u8>,
     qos: QoS,
-    retain: bool,
     phase: OutPhase,
     last_sent: Nanos,
     retries: u32,
@@ -177,7 +211,6 @@ pub struct Client {
     next_msg_id: u16,
     /// Publish-order counter backing [`InFlight::seq`].
     next_seq: u64,
-    connect_sent_at: Option<Nanos>,
     pending_register: HashMap<u16, String>,
     /// Control packets awaiting replies (CONNECT / REGISTER / SUBSCRIBE /
     /// UNSUBSCRIBE), retransmitted on `Tretry` per spec §6.13.
@@ -231,7 +264,6 @@ impl Client {
             state: ClientState::Disconnected,
             next_msg_id: 1,
             next_seq: 0,
-            connect_sent_at: None,
             pending_register: HashMap::new(),
             pending_control: HashMap::new(),
             inflight: HashMap::new(),
@@ -256,10 +288,9 @@ impl Client {
         self.spare_payloads.pop()
     }
 
-    /// Hands a no-longer-needed payload buffer back for reuse. Transports
-    /// call this with the buffer out of an encoded `Publish` packet (QoS 0
-    /// publishes never reach the completion path, so this is their only way
-    /// back into the pool).
+    /// Hands a no-longer-needed payload buffer back for reuse: an encoded
+    /// publish the caller decided not to send, or a consumed
+    /// [`ClientEvent::Message`] payload.
     pub fn reclaim_payload(&mut self, mut payload: Vec<u8>) {
         if self.spare_payloads.len() < MAX_SPARE_PAYLOADS {
             payload.clear();
@@ -338,24 +369,8 @@ impl Client {
 
     /// Initiates the connection handshake. The CONNECT is retransmitted
     /// on `Tretry` until the CONNACK arrives or retries are exhausted.
-    pub fn connect(&mut self, now: Nanos) -> Vec<Output> {
-        self.state = ClientState::Connecting;
-        self.connect_sent_at = Some(now);
-        self.last_tx = now;
-        let packet = Packet::Connect {
-            clean_session: self.config.clean_session,
-            duration: self.config.keep_alive.as_secs().min(u16::MAX as u64) as u16,
-            client_id: self.config.client_id.clone(),
-        };
-        self.pending_control.insert(
-            0,
-            PendingControl {
-                packet: packet.clone(),
-                last_sent: now,
-                retries: 0,
-            },
-        );
-        vec![Output::Send(packet)]
+    pub fn connect(&mut self, now: Nanos, out: &mut ClientOutputs) {
+        self.send_connect(self.config.clean_session, now, out);
     }
 
     /// Re-initiates the connection handshake after a lost connection,
@@ -364,10 +379,7 @@ impl Client {
     /// re-subscribes every acknowledged filter, and retransmits in-flight
     /// QoS 1/2 publishes with the DUP flag — remapping their topic ids if
     /// the broker (e.g. after a restart) assigns different ones.
-    pub fn reconnect(&mut self, now: Nanos) -> Vec<Output> {
-        self.state = ClientState::Connecting;
-        self.connect_sent_at = Some(now);
-        self.last_tx = now;
+    pub fn reconnect(&mut self, now: Nanos, out: &mut ClientOutputs) {
         self.ping_outstanding_since = None;
         self.resuming = true;
         // Stale control transactions from the dead connection are dropped;
@@ -383,118 +395,113 @@ impl Client {
         // is kept: a persisted-state broker resumes those with DUP
         // retransmissions that must still dedup.
         self.completed_qos2.clear();
+        self.send_connect(false, now, out);
+    }
+
+    fn send_connect(&mut self, clean_session: bool, now: Nanos, out: &mut ClientOutputs) {
+        self.state = ClientState::Connecting;
         let packet = Packet::Connect {
-            clean_session: false,
+            clean_session,
             duration: self.config.keep_alive.as_secs().min(u16::MAX as u64) as u16,
             client_id: self.config.client_id.clone(),
         };
+        self.send_control(0, packet, now, out);
+    }
+
+    /// Sends a packet that awaits a reply, tracked under `id` for `Tretry`
+    /// retransmission.
+    fn send_control(&mut self, id: u16, packet: Packet, now: Nanos, out: &mut ClientOutputs) {
+        out.send(&packet);
+        self.last_tx = now;
         self.pending_control.insert(
-            0,
+            id,
             PendingControl {
-                packet: packet.clone(),
+                packet,
                 last_sent: now,
                 retries: 0,
             },
         );
-        vec![Output::Send(packet)]
     }
 
     /// Requests a topic-id for `topic_name`. The id arrives via
     /// [`ClientEvent::Registered`].
-    pub fn register(&mut self, topic_name: &str, now: Nanos) -> Result<(u16, Vec<Output>), Error> {
+    pub fn register(
+        &mut self,
+        topic_name: &str,
+        now: Nanos,
+        out: &mut ClientOutputs,
+    ) -> Result<u16, Error> {
         if self.state != ClientState::Connected {
             return Err(Error::BadState("register before connected"));
         }
+        Ok(self.send_register(topic_name.to_owned(), now, out))
+    }
+
+    fn send_register(&mut self, topic_name: String, now: Nanos, out: &mut ClientOutputs) -> u16 {
         let msg_id = self.alloc_msg_id();
-        self.pending_register.insert(msg_id, topic_name.to_owned());
-        self.last_tx = now;
+        self.pending_register.insert(msg_id, topic_name.clone());
         let packet = Packet::Register {
             topic_id: 0,
             msg_id,
-            topic_name: topic_name.to_owned(),
+            topic_name,
         };
-        self.pending_control.insert(
-            msg_id,
-            PendingControl {
-                packet: packet.clone(),
-                last_sent: now,
-                retries: 0,
-            },
-        );
-        Ok((msg_id, vec![Output::Send(packet)]))
+        self.send_control(msg_id, packet, now, out);
+        msg_id
     }
 
-    /// Publishes a payload to a registered topic id.
+    /// Publishes a payload to a registered topic id, encoding the PUBLISH
+    /// into `out`.
     ///
-    /// Returns the message id (0 for QoS 0) and the packets to send. QoS
-    /// 1/2 completion is signalled by [`ClientEvent::PublishDone`].
+    /// Returns the message id (0 for QoS 0). A QoS 0 payload buffer goes
+    /// straight back to the spare pool; a QoS 1/2 one is kept for
+    /// retransmission until [`ClientEvent::PublishDone`].
     pub fn publish(
         &mut self,
         topic: TopicRef,
         payload: Vec<u8>,
         qos: QoS,
         now: Nanos,
-    ) -> Result<(u16, Vec<Output>), Error> {
+        out: &mut ClientOutputs,
+    ) -> Result<u16, Error> {
+        // lint: zero-alloc-begin
         if self.state != ClientState::Connected {
             return Err(Error::BadState("publish before connected"));
         }
         if matches!(topic, TopicRef::Name(_)) {
             return Err(Error::BadState("PUBLISH requires a topic id"));
         }
-        self.last_tx = now;
-        match qos {
-            QoS::AtMostOnce => Ok((
-                0,
-                vec![Output::Send(Packet::Publish {
-                    dup: false,
-                    qos,
-                    retain: false,
-                    topic,
-                    msg_id: 0,
-                    payload,
-                })],
-            )),
-            QoS::AtLeastOnce | QoS::ExactlyOnce => {
-                if !self.can_publish() {
-                    return Err(Error::InflightFull);
-                }
-                let msg_id = self.alloc_msg_id();
-                // The retransmission copy kept in `inflight` is the original
-                // `payload`; the wire packet gets a pooled copy so the
-                // steady-state publish path allocates nothing.
-                let mut wire_payload = self.spare_payloads.pop().unwrap_or_default();
-                wire_payload.clear();
-                wire_payload.extend_from_slice(&payload);
-                let packet = Packet::Publish {
-                    dup: false,
-                    qos,
-                    retain: false,
-                    topic: topic.clone(),
-                    msg_id,
-                    payload: wire_payload,
-                };
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.inflight.insert(
-                    msg_id,
-                    InFlight {
-                        topic,
-                        payload,
-                        qos,
-                        retain: false,
-                        phase: if qos == QoS::AtLeastOnce {
-                            OutPhase::Puback
-                        } else {
-                            OutPhase::Pubrec
-                        },
-                        last_sent: now,
-                        retries: 0,
-                        seq,
-                    },
-                );
-                Ok((msg_id, vec![Output::Send(packet)]))
-            }
+        if qos == QoS::AtMostOnce {
+            self.last_tx = now;
+            out.send_publish(false, qos, &topic, 0, &payload);
+            self.reclaim_payload(payload);
+            return Ok(0);
         }
+        if !self.can_publish() {
+            return Err(Error::InflightFull);
+        }
+        self.last_tx = now;
+        let msg_id = self.alloc_msg_id();
+        out.send_publish(false, qos, &topic, msg_id, &payload);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.inflight.insert(
+            msg_id,
+            InFlight {
+                topic,
+                payload,
+                qos,
+                phase: if qos == QoS::AtLeastOnce {
+                    OutPhase::Puback
+                } else {
+                    OutPhase::Pubrec
+                },
+                last_sent: now,
+                retries: 0,
+                seq,
+            },
+        );
+        Ok(msg_id)
+        // lint: zero-alloc-end
     }
 
     /// Subscribes to a topic filter.
@@ -503,32 +510,34 @@ impl Client {
         filter: &str,
         qos: QoS,
         now: Nanos,
-    ) -> Result<(u16, Vec<Output>), Error> {
+        out: &mut ClientOutputs,
+    ) -> Result<u16, Error> {
         if self.state != ClientState::Connected {
             return Err(Error::BadState("subscribe before connected"));
         }
         if !crate::topic::filter_is_valid(filter) {
             return Err(Error::BadState("invalid topic filter"));
         }
+        Ok(self.send_subscribe(filter.to_owned(), qos, now, out))
+    }
+
+    fn send_subscribe(
+        &mut self,
+        filter: String,
+        qos: QoS,
+        now: Nanos,
+        out: &mut ClientOutputs,
+    ) -> u16 {
         let msg_id = self.alloc_msg_id();
-        self.pending_subscribe
-            .insert(msg_id, (filter.to_owned(), qos));
-        self.last_tx = now;
+        self.pending_subscribe.insert(msg_id, (filter.clone(), qos));
         let packet = Packet::Subscribe {
             dup: false,
             qos,
             msg_id,
-            topic: TopicRef::Name(filter.to_owned()),
+            topic: TopicRef::Name(filter),
         };
-        self.pending_control.insert(
-            msg_id,
-            PendingControl {
-                packet: packet.clone(),
-                last_sent: now,
-                retries: 0,
-            },
-        );
-        Ok((msg_id, vec![Output::Send(packet)]))
+        self.send_control(msg_id, packet, now, out);
+        msg_id
     }
 
     /// Starts a graceful disconnect: the session transitions to
@@ -538,65 +547,97 @@ impl Client {
     /// retransmission fires on the torn-down session. In-flight publishes
     /// and tracked registrations are retained for a later
     /// [`Client::reconnect`].
-    pub fn disconnect(&mut self, now: Nanos) -> Vec<Output> {
+    pub fn disconnect(&mut self, now: Nanos, out: &mut ClientOutputs) {
         self.last_tx = now;
         self.state = ClientState::Disconnected;
         self.ping_outstanding_since = None;
-        self.connect_sent_at = None;
         self.pending_control.clear();
-        vec![Output::Send(Packet::Disconnect { duration: None })]
+        out.send(&Packet::Disconnect { duration: None });
     }
 
-    /// Feeds one raw inbound datagram. PUBLISH payloads decode borrowed
-    /// and are copied once into a buffer from the spare-payload pool, so
-    /// a subscriber's steady-state receive path reuses the same backing
-    /// allocations instead of building a fresh `Vec` per message.
-    pub fn on_datagram(&mut self, datagram: &[u8], now: Nanos) -> Result<Vec<Output>, Error> {
+    /// Feeds one raw inbound datagram. A PUBLISH payload decodes borrowed
+    /// and is copied only when delivered, once, into a buffer from the
+    /// spare-payload pool, so a subscriber's steady-state receive path
+    /// reuses the same backing allocations; a suppressed QoS 2 duplicate
+    /// gets its PUBREC without any copy.
+    pub fn on_datagram(
+        &mut self,
+        datagram: &[u8],
+        now: Nanos,
+        out: &mut ClientOutputs,
+    ) -> Result<(), Error> {
         match Packet::decode_borrowed(datagram)? {
             PacketRef::Publish {
-                dup,
                 qos,
-                retain,
                 topic,
                 msg_id,
                 payload,
-            } => {
-                let mut owned = self.take_spare_payload().unwrap_or_default();
-                owned.extend_from_slice(payload);
-                Ok(self.on_packet(
-                    Packet::Publish {
-                        dup,
-                        qos,
-                        retain,
-                        topic,
-                        msg_id,
-                        payload: owned,
-                    },
-                    now,
-                ))
-            }
-            PacketRef::Owned(p) => Ok(self.on_packet(p, now)),
+                ..
+            } => self.on_publish(qos, topic, msg_id, payload, now, out),
+            PacketRef::Owned(p) => self.on_packet(p, now, out),
         }
+        Ok(())
     }
 
-    /// Feeds one inbound packet.
-    pub fn on_packet(&mut self, packet: Packet, now: Nanos) -> Vec<Output> {
-        let mut out = Vec::new();
+    /// Delivers an inbound PUBLISH and acknowledges it per its QoS.
+    fn on_publish(
+        &mut self,
+        qos: QoS,
+        topic: TopicRef,
+        msg_id: u16,
+        payload: &[u8],
+        now: Nanos,
+        out: &mut ClientOutputs,
+    ) {
+        let topic_id = match topic {
+            TopicRef::Id(id) | TopicRef::Predefined(id) => id,
+            TopicRef::Name(_) => 0,
+        };
+        // QoS 2 delivers on first receipt; DUP re-deliveries are suppressed
+        // while the handshake is pending AND for the recently-completed
+        // window (a delayed copy can arrive after the PUBREL).
+        let duplicate = qos == QoS::ExactlyOnce
+            && (self.inbound_qos2.contains_key(&msg_id) || self.completed_qos2.contains(&msg_id));
+        if !duplicate {
+            if qos == QoS::ExactlyOnce {
+                self.inbound_qos2.insert(msg_id, ());
+            }
+            let mut owned = self.take_spare_payload().unwrap_or_default();
+            owned.extend_from_slice(payload);
+            out.events.push_back(ClientEvent::Message {
+                topic,
+                payload: owned,
+            });
+        }
+        match qos {
+            QoS::AtMostOnce => return,
+            QoS::AtLeastOnce => out.send(&Packet::PubAck {
+                topic_id,
+                msg_id,
+                code: ReturnCode::Accepted,
+            }),
+            QoS::ExactlyOnce => out.send(&Packet::PubRec { msg_id }),
+        }
+        self.last_tx = now;
+    }
+
+    /// Dispatches one inbound packet other than PUBLISH.
+    fn on_packet(&mut self, packet: Packet, now: Nanos, out: &mut ClientOutputs) {
         match packet {
             Packet::ConnAck { code } => {
                 self.pending_control.remove(&0);
                 if code == ReturnCode::Accepted {
                     self.state = ClientState::Connected;
                     self.ping_outstanding_since = None;
-                    out.push(Output::Event(ClientEvent::Connected));
+                    out.events.push_back(ClientEvent::Connected);
                     if self.resuming {
                         self.resuming = false;
-                        self.resume_session(now, &mut out);
+                        self.resume_session(now, out);
                     }
                 } else {
                     self.state = ClientState::Disconnected;
                     self.resuming = false;
-                    out.push(Output::Event(ClientEvent::ConnectFailed(code)));
+                    out.events.push_back(ClientEvent::ConnectFailed(code));
                 }
             }
             Packet::RegAck {
@@ -609,12 +650,12 @@ impl Client {
                     if code == ReturnCode::Accepted {
                         self.registered_topics.insert(topic_name.clone(), topic_id);
                         if let Some(old_id) = self.resume_pending.remove(&topic_name) {
-                            self.retransmit_remapped(old_id, topic_id, now, &mut out);
+                            self.retransmit_remapped(old_id, topic_id, now, out);
                         }
-                        out.push(Output::Event(ClientEvent::Registered {
+                        out.events.push_back(ClientEvent::Registered {
                             topic_name,
                             topic_id,
-                        }));
+                        });
                     } else if let Some(old_id) = self.resume_pending.remove(&topic_name) {
                         // The broker refused to resume this registration:
                         // stop tracking the topic (so resume_complete()
@@ -628,10 +669,8 @@ impl Client {
                             if let Some(f) = self.inflight.remove(&id) {
                                 self.dead_letters.push((id, f.payload));
                             }
-                            out.push(Output::Event(ClientEvent::PublishRejected {
-                                msg_id: id,
-                                code,
-                            }));
+                            out.events
+                                .push_back(ClientEvent::PublishRejected { msg_id: id, code });
                         }
                     }
                 }
@@ -648,18 +687,18 @@ impl Client {
                         self.subscribed_filters.retain(|(f, _)| f != &filter);
                         self.subscribed_filters.push((filter, granted));
                     }
-                    out.push(Output::Event(ClientEvent::Subscribed {
+                    out.events.push_back(ClientEvent::Subscribed {
                         msg_id,
                         topic_id,
                         qos,
-                    }));
+                    });
                 } else {
                     self.pending_subscribe.remove(&msg_id);
                 }
             }
             Packet::UnsubAck { msg_id } => {
                 self.pending_control.remove(&msg_id);
-                out.push(Output::Event(ClientEvent::Unsubscribed { msg_id }));
+                out.events.push_back(ClientEvent::Unsubscribed { msg_id });
             }
             Packet::PubAck { msg_id, code, .. } => {
                 if code != ReturnCode::Accepted {
@@ -670,18 +709,20 @@ impl Client {
                     // payload for replay after re-registration.
                     if let Some(f) = self.inflight.remove(&msg_id) {
                         self.dead_letters.push((msg_id, f.payload));
-                        out.push(Output::Event(ClientEvent::PublishRejected { msg_id, code }));
+                        out.events
+                            .push_back(ClientEvent::PublishRejected { msg_id, code });
                     }
                 } else if let Some(f) = self.inflight.get(&msg_id) {
                     if matches!(f.phase, OutPhase::Puback) {
                         if let Some(f) = self.inflight.remove(&msg_id) {
                             self.reclaim_payload(f.payload);
                         }
-                        out.push(Output::Event(ClientEvent::PublishDone { msg_id }));
+                        out.events.push_back(ClientEvent::PublishDone { msg_id });
                     }
                 }
             }
             Packet::PubRec { msg_id } => {
+                // lint: zero-alloc-begin
                 if let Some(f) = self.inflight.get_mut(&msg_id) {
                     f.phase = OutPhase::Pubcomp;
                     f.last_sent = now;
@@ -689,55 +730,17 @@ impl Client {
                 }
                 // Always answer PUBREC (idempotent PUBREL).
                 self.last_tx = now;
-                out.push(Output::Send(Packet::PubRel { msg_id }));
+                out.send(&Packet::PubRel { msg_id });
+                // lint: zero-alloc-end
             }
             Packet::PubComp { msg_id } => {
+                // lint: zero-alloc-begin
                 if let Some(f) = self.inflight.remove(&msg_id) {
                     self.reclaim_payload(f.payload);
-                    out.push(Output::Event(ClientEvent::PublishDone { msg_id }));
+                    out.events.push_back(ClientEvent::PublishDone { msg_id });
                 }
+                // lint: zero-alloc-end
             }
-            Packet::Publish {
-                qos,
-                topic,
-                msg_id,
-                payload,
-                ..
-            } => match qos {
-                QoS::AtMostOnce => {
-                    out.push(Output::Event(ClientEvent::Message { topic, payload }));
-                }
-                QoS::AtLeastOnce => {
-                    out.push(Output::Event(ClientEvent::Message {
-                        topic: topic.clone(),
-                        payload,
-                    }));
-                    self.last_tx = now;
-                    let topic_id = match topic {
-                        TopicRef::Id(id) | TopicRef::Predefined(id) => id,
-                        TopicRef::Name(_) => 0,
-                    };
-                    out.push(Output::Send(Packet::PubAck {
-                        topic_id,
-                        msg_id,
-                        code: ReturnCode::Accepted,
-                    }));
-                }
-                QoS::ExactlyOnce => {
-                    // Deliver on first receipt; suppress DUP re-deliveries
-                    // while the handshake is pending AND for the
-                    // recently-completed window (a delayed copy can arrive
-                    // after the PUBREL).
-                    let dup = self.inbound_qos2.contains_key(&msg_id)
-                        || self.completed_qos2.contains(&msg_id);
-                    if !dup {
-                        self.inbound_qos2.insert(msg_id, ());
-                        out.push(Output::Event(ClientEvent::Message { topic, payload }));
-                    }
-                    self.last_tx = now;
-                    out.push(Output::Send(Packet::PubRec { msg_id }));
-                }
-            },
             Packet::PubRel { msg_id } => {
                 if self.inbound_qos2.remove(&msg_id).is_some() {
                     if self.completed_qos2.len() >= COMPLETED_QOS2_WINDOW {
@@ -746,18 +749,18 @@ impl Client {
                     self.completed_qos2.push_back(msg_id);
                 }
                 self.last_tx = now;
-                out.push(Output::Send(Packet::PubComp { msg_id }));
+                out.send(&Packet::PubComp { msg_id });
             }
             Packet::PingResp => {
                 self.ping_outstanding_since = None;
             }
             Packet::PingReq => {
                 self.last_tx = now;
-                out.push(Output::Send(Packet::PingResp));
+                out.send(&Packet::PingResp);
             }
             Packet::Disconnect { .. } => {
                 self.state = ClientState::Disconnected;
-                out.push(Output::Event(ClientEvent::Disconnected));
+                out.events.push_back(ClientEvent::Disconnected);
             }
             // Broker-originated REGISTER (topic id assignment for
             // wildcard subscribers): acknowledge.
@@ -765,18 +768,17 @@ impl Client {
                 topic_id, msg_id, ..
             } => {
                 self.last_tx = now;
-                out.push(Output::Send(Packet::RegAck {
+                out.send(&Packet::RegAck {
                     topic_id,
                     msg_id,
                     code: ReturnCode::Accepted,
-                }));
+                });
             }
             Packet::CongestionAdvisory { level } => {
-                out.push(Output::Event(ClientEvent::Congestion { level }));
+                out.events.push_back(ClientEvent::Congestion { level });
             }
             _ => {}
         }
-        out
     }
 
     /// Emits the session-resumption traffic after a reconnect CONNACK:
@@ -785,27 +787,11 @@ impl Client {
     /// publishes whose topic ids cannot change (predefined ids). In-flight
     /// publishes on registered ids wait for their fresh REGACK so they can
     /// be remapped if the broker assigns a different id.
-    fn resume_session(&mut self, now: Nanos, out: &mut Vec<Output>) {
+    fn resume_session(&mut self, now: Nanos, out: &mut ClientOutputs) {
         let mut filters: Vec<(String, QoS)> = self.subscribed_filters.clone();
         filters.sort_by(|a, b| a.0.cmp(&b.0));
         for (filter, qos) in filters {
-            let msg_id = self.alloc_msg_id();
-            self.pending_subscribe.insert(msg_id, (filter.clone(), qos));
-            let packet = Packet::Subscribe {
-                dup: false,
-                qos,
-                msg_id,
-                topic: TopicRef::Name(filter),
-            };
-            self.pending_control.insert(
-                msg_id,
-                PendingControl {
-                    packet: packet.clone(),
-                    last_sent: now,
-                    retries: 0,
-                },
-            );
-            out.push(Output::Send(packet));
+            self.send_subscribe(filter, qos, now, out);
         }
         let mut topics: Vec<(String, u16)> = self
             .registered_topics
@@ -815,22 +801,7 @@ impl Client {
         topics.sort();
         for (name, old_id) in topics {
             self.resume_pending.insert(name.clone(), old_id);
-            let msg_id = self.alloc_msg_id();
-            self.pending_register.insert(msg_id, name.clone());
-            let packet = Packet::Register {
-                topic_id: 0,
-                msg_id,
-                topic_name: name,
-            };
-            self.pending_control.insert(
-                msg_id,
-                PendingControl {
-                    packet: packet.clone(),
-                    last_sent: now,
-                    retries: 0,
-                },
-            );
-            out.push(Output::Send(packet));
+            self.send_register(name, now, out);
         }
         // In-flight publishes whose topic reference is not subject to
         // re-registration retransmit immediately.
@@ -840,132 +811,104 @@ impl Client {
             TopicRef::Id(id) => !resume_pending.values().any(|old| *old == id),
         });
         for id in ids {
-            self.retransmit_inflight(id, now, out);
+            self.retransmit_inflight(id, 0, now, out);
         }
         self.last_tx = now;
     }
 
     /// Remaps in-flight publishes from a pre-reconnect topic id to the
     /// freshly registered one and retransmits them with the DUP flag.
-    fn retransmit_remapped(&mut self, old_id: u16, new_id: u16, now: Nanos, out: &mut Vec<Output>) {
+    fn retransmit_remapped(
+        &mut self,
+        old_id: u16,
+        new_id: u16,
+        now: Nanos,
+        out: &mut ClientOutputs,
+    ) {
         let ids = self.inflight_in_publish_order(|f| f.topic == TopicRef::Id(old_id));
         for id in ids {
             if let Some(f) = self.inflight.get_mut(&id) {
                 f.topic = TopicRef::Id(new_id);
             }
-            self.retransmit_inflight(id, now, out);
+            self.retransmit_inflight(id, 0, now, out);
         }
     }
 
-    /// Re-sends one in-flight message (DUP publish or PUBREL, per phase)
-    /// with a reset retry budget.
-    fn retransmit_inflight(&mut self, id: u16, now: Nanos, out: &mut Vec<Output>) {
-        let mut wire_payload = self.spare_payloads.pop().unwrap_or_default();
+    /// Re-sends one in-flight message — a DUP PUBLISH before its PUBREC, a
+    /// PUBREL after it — as retry number `retries`.
+    fn retransmit_inflight(&mut self, id: u16, retries: u32, now: Nanos, out: &mut ClientOutputs) {
         let Some(f) = self.inflight.get_mut(&id) else {
-            self.spare_payloads.push(wire_payload);
             return;
         };
-        f.retries = 0;
+        f.retries = retries;
         f.last_sent = now;
-        let packet = match f.phase {
+        match f.phase {
             OutPhase::Puback | OutPhase::Pubrec => {
-                wire_payload.clear();
-                wire_payload.extend_from_slice(&f.payload);
-                Packet::Publish {
-                    dup: true,
-                    qos: f.qos,
-                    retain: f.retain,
-                    topic: f.topic.clone(),
-                    msg_id: id,
-                    payload: wire_payload,
-                }
+                out.send_publish(true, f.qos, &f.topic, id, &f.payload)
             }
-            OutPhase::Pubcomp => {
-                self.spare_payloads.push(wire_payload);
-                Packet::PubRel { msg_id: id }
-            }
-        };
+            OutPhase::Pubcomp => out.send(&Packet::PubRel { msg_id: id }),
+        }
         self.last_tx = now;
-        out.push(Output::Send(packet));
     }
 
     /// Drives timers: retransmissions and keep-alive. Call at least every
     /// `retry_timeout / 2`.
-    pub fn on_tick(&mut self, now: Nanos) -> Vec<Output> {
-        let mut out = Vec::new();
+    pub fn on_tick(&mut self, now: Nanos, out: &mut ClientOutputs) {
         let retry_ns = self.config.retry_timeout.as_nanos() as u64;
+        let due = |last_sent: Nanos| now.saturating_sub(last_sent) >= retry_ns;
 
         // Control-packet retransmission (spec: retransmit any message
         // awaiting a reply on Tretry, up to Nretry times). Runs in the
-        // Connecting state too, so lost CONNECTs self-heal.
-        let mut control_ids: Vec<u16> = self.pending_control.keys().copied().collect();
+        // Connecting state too, so lost CONNECTs self-heal. Only due ids
+        // are collected, so a tick with nothing due allocates nothing.
+        let mut control_ids: Vec<u16> = self
+            .pending_control
+            .iter()
+            .filter(|(_, c)| due(c.last_sent))
+            .map(|(id, _)| *id)
+            .collect();
         control_ids.sort_unstable();
         for id in control_ids {
             let Some(c) = self.pending_control.get_mut(&id) else {
                 continue;
             };
-            if now.saturating_sub(c.last_sent) < retry_ns {
-                continue;
-            }
             if c.retries >= self.config.max_retries {
                 self.pending_control.remove(&id);
                 if id == 0 {
                     self.state = ClientState::Disconnected;
-                    out.push(Output::Event(ClientEvent::ConnectFailed(
-                        ReturnCode::Congestion,
-                    )));
+                    out.events
+                        .push_back(ClientEvent::ConnectFailed(ReturnCode::Congestion));
                 }
                 continue;
             }
             c.retries += 1;
             c.last_sent = now;
-            let mut packet = c.packet.clone();
-            if let Packet::Subscribe { dup, .. } = &mut packet {
+            // Every retransmission of a SUBSCRIBE carries DUP.
+            if let Packet::Subscribe { dup, .. } = &mut c.packet {
                 *dup = true;
             }
+            out.send(&c.packet);
             self.last_tx = now;
-            out.push(Output::Send(packet));
         }
 
         if self.state != ClientState::Connected {
-            return out;
+            return;
         }
 
         let mut failed = Vec::new();
         // Deterministic retransmission in original publish order (seq, not
         // msg id, which wraps).
-        let ids = self.inflight_in_publish_order(|_| true);
+        let ids = self.inflight_in_publish_order(|f| due(f.last_sent));
         for id in ids {
-            let Some(f) = self.inflight.get_mut(&id) else {
+            let Some(f) = self.inflight.get(&id) else {
                 continue;
             };
-            if now.saturating_sub(f.last_sent) < retry_ns {
-                continue;
-            }
             if f.retries >= self.config.max_retries {
                 failed.push(id);
-                continue;
+            } else {
+                let retries = f.retries + 1;
+                self.retransmit_inflight(id, retries, now, out);
             }
-            f.retries += 1;
-            f.last_sent = now;
-            let packet = match f.phase {
-                OutPhase::Puback | OutPhase::Pubrec => {
-                    let mut wire_payload = self.spare_payloads.pop().unwrap_or_default();
-                    wire_payload.clear();
-                    wire_payload.extend_from_slice(&f.payload);
-                    Packet::Publish {
-                        dup: true,
-                        qos: f.qos,
-                        retain: f.retain,
-                        topic: f.topic.clone(),
-                        msg_id: id,
-                        payload: wire_payload,
-                    }
-                }
-                OutPhase::Pubcomp => Packet::PubRel { msg_id: id },
-            };
-            self.last_tx = now;
-            out.push(Output::Send(packet));
         }
         for id in failed {
             if let Some(f) = self.inflight.remove(&id) {
@@ -983,7 +926,8 @@ impl Client {
                     OutPhase::Pubcomp => self.reclaim_payload(f.payload),
                 }
             }
-            out.push(Output::Event(ClientEvent::PublishFailed { msg_id: id }));
+            out.events
+                .push_back(ClientEvent::PublishFailed { msg_id: id });
         }
 
         // Keep-alive.
@@ -992,17 +936,16 @@ impl Client {
             match self.ping_outstanding_since {
                 Some(since) if now.saturating_sub(since) > retry_ns => {
                     self.ping_outstanding_since = None;
-                    out.push(Output::Event(ClientEvent::PingTimeout));
+                    out.events.push_back(ClientEvent::PingTimeout);
                 }
                 None if now.saturating_sub(self.last_tx) >= ka_ns => {
                     self.ping_outstanding_since = Some(now);
                     self.last_tx = now;
-                    out.push(Output::Send(Packet::PingReq));
+                    out.send(&Packet::PingReq);
                 }
                 _ => {}
             }
         }
-        out
     }
 }
 
@@ -1010,67 +953,115 @@ impl Client {
 mod tests {
     use super::*;
 
-    fn connected_client() -> Client {
-        let mut c = Client::new(ClientConfig::new("dev1"));
-        c.connect(0);
-        c.on_packet(
+    /// Feeds one packet through the datagram path.
+    fn feed(c: &mut Client, packet: Packet, now: Nanos) -> ClientOutputs {
+        let mut out = ClientOutputs::new();
+        c.on_datagram(&packet.encode(), now, &mut out).unwrap();
+        out
+    }
+
+    fn tick(c: &mut Client, now: Nanos) -> ClientOutputs {
+        let mut out = ClientOutputs::new();
+        c.on_tick(now, &mut out);
+        out
+    }
+
+    fn accept(c: &mut Client, now: Nanos) -> ClientOutputs {
+        feed(
+            c,
             Packet::ConnAck {
                 code: ReturnCode::Accepted,
             },
-            0,
-        );
+            now,
+        )
+    }
+
+    fn client_with(cfg: ClientConfig) -> Client {
+        let mut c = Client::new(cfg);
+        c.connect(0, &mut ClientOutputs::new());
+        accept(&mut c, 0);
         assert_eq!(c.state(), ClientState::Connected);
         c
     }
 
-    fn sends(outputs: &[Output]) -> Vec<&Packet> {
-        outputs
-            .iter()
-            .filter_map(|o| match o {
-                Output::Send(p) => Some(p),
-                _ => None,
-            })
-            .collect()
+    fn connected_client() -> Client {
+        client_with(ClientConfig::new("dev1"))
     }
 
-    fn events(outputs: &[Output]) -> Vec<&ClientEvent> {
-        outputs
-            .iter()
-            .filter_map(|o| match o {
-                Output::Event(e) => Some(e),
-                _ => None,
-            })
-            .collect()
+    /// Decodes (and drains) the datagrams in `out`.
+    fn sends(out: &mut ClientOutputs) -> Vec<Packet> {
+        let mut sent = Vec::new();
+        out.emit(|bytes| sent.push(Packet::decode(bytes).unwrap()));
+        sent
+    }
+
+    /// Drains the events in `out`.
+    fn events(out: &mut ClientOutputs) -> Vec<ClientEvent> {
+        out.events.drain(..).collect()
+    }
+
+    fn publish(c: &mut Client, topic: u16, payload: Vec<u8>, qos: QoS, now: Nanos) -> u16 {
+        c.publish(
+            TopicRef::Id(topic),
+            payload,
+            qos,
+            now,
+            &mut ClientOutputs::new(),
+        )
+        .unwrap()
+    }
+
+    fn register(c: &mut Client, topic_name: &str, topic_id: u16) {
+        let msg_id = c
+            .register(topic_name, 0, &mut ClientOutputs::new())
+            .unwrap();
+        feed(
+            c,
+            Packet::RegAck {
+                topic_id,
+                msg_id,
+                code: ReturnCode::Accepted,
+            },
+            1,
+        );
+    }
+
+    fn inbound_qos2(msg_id: u16, payload: u8) -> Packet {
+        Packet::Publish {
+            dup: false,
+            qos: QoS::ExactlyOnce,
+            retain: false,
+            topic: TopicRef::Id(3),
+            msg_id,
+            payload: vec![payload],
+        }
     }
 
     #[test]
     fn connect_handshake() {
         let mut c = Client::new(ClientConfig::new("dev1"));
-        let out = c.connect(0);
-        assert!(matches!(out[0], Output::Send(Packet::Connect { .. })));
+        let mut out = ClientOutputs::new();
+        c.connect(0, &mut out);
+        assert!(matches!(sends(&mut out)[0], Packet::Connect { .. }));
         assert_eq!(c.state(), ClientState::Connecting);
-        let out = c.on_packet(
-            Packet::ConnAck {
-                code: ReturnCode::Accepted,
-            },
-            1,
-        );
-        assert_eq!(events(&out), vec![&ClientEvent::Connected]);
+        let mut out = accept(&mut c, 1);
+        assert_eq!(events(&mut out), vec![ClientEvent::Connected]);
     }
 
     #[test]
     fn connect_rejection_reported() {
         let mut c = Client::new(ClientConfig::new("dev1"));
-        c.connect(0);
-        let out = c.on_packet(
+        c.connect(0, &mut ClientOutputs::new());
+        let mut out = feed(
+            &mut c,
             Packet::ConnAck {
                 code: ReturnCode::Congestion,
             },
             1,
         );
         assert_eq!(
-            events(&out),
-            vec![&ClientEvent::ConnectFailed(ReturnCode::Congestion)]
+            events(&mut out),
+            vec![ClientEvent::ConnectFailed(ReturnCode::Congestion)]
         );
         assert_eq!(c.state(), ClientState::Disconnected);
     }
@@ -1078,12 +1069,14 @@ mod tests {
     #[test]
     fn register_roundtrip() {
         let mut c = connected_client();
-        let (msg_id, out) = c.register("provlight/wf1/dev1", 10).unwrap();
+        let mut out = ClientOutputs::new();
+        let msg_id = c.register("provlight/wf1/dev1", 10, &mut out).unwrap();
         assert!(matches!(
-            sends(&out)[0],
+            sends(&mut out)[0],
             Packet::Register { topic_id: 0, .. }
         ));
-        let out = c.on_packet(
+        let mut out = feed(
+            &mut c,
             Packet::RegAck {
                 topic_id: 42,
                 msg_id,
@@ -1092,8 +1085,8 @@ mod tests {
             20,
         );
         assert_eq!(
-            events(&out),
-            vec![&ClientEvent::Registered {
+            events(&mut out),
+            vec![ClientEvent::Registered {
                 topic_name: "provlight/wf1/dev1".into(),
                 topic_id: 42
             }]
@@ -1103,22 +1096,22 @@ mod tests {
     #[test]
     fn qos0_publish_has_no_state() {
         let mut c = connected_client();
-        let (id, out) = c
-            .publish(TopicRef::Id(1), vec![1, 2], QoS::AtMostOnce, 5)
+        let mut out = ClientOutputs::new();
+        let id = c
+            .publish(TopicRef::Id(1), vec![1, 2], QoS::AtMostOnce, 5, &mut out)
             .unwrap();
         assert_eq!(id, 0);
-        assert_eq!(sends(&out).len(), 1);
+        assert_eq!(sends(&mut out).len(), 1);
         assert_eq!(c.inflight_len(), 0);
     }
 
     #[test]
     fn qos1_publish_completes_on_puback() {
         let mut c = connected_client();
-        let (id, _) = c
-            .publish(TopicRef::Id(1), vec![1], QoS::AtLeastOnce, 5)
-            .unwrap();
+        let id = publish(&mut c, 1, vec![1], QoS::AtLeastOnce, 5);
         assert_eq!(c.inflight_len(), 1);
-        let out = c.on_packet(
+        let mut out = feed(
+            &mut c,
             Packet::PubAck {
                 topic_id: 1,
                 msg_id: id,
@@ -1126,23 +1119,27 @@ mod tests {
             },
             6,
         );
-        assert_eq!(events(&out), vec![&ClientEvent::PublishDone { msg_id: id }]);
+        assert_eq!(
+            events(&mut out),
+            vec![ClientEvent::PublishDone { msg_id: id }]
+        );
         assert_eq!(c.inflight_len(), 0);
     }
 
     #[test]
     fn qos2_four_way_handshake() {
         let mut c = connected_client();
-        let (id, _) = c
-            .publish(TopicRef::Id(1), vec![9], QoS::ExactlyOnce, 5)
-            .unwrap();
+        let id = publish(&mut c, 1, vec![9], QoS::ExactlyOnce, 5);
         // PUBREC -> client answers PUBREL.
-        let out = c.on_packet(Packet::PubRec { msg_id: id }, 6);
-        assert_eq!(sends(&out), vec![&Packet::PubRel { msg_id: id }]);
+        let mut out = feed(&mut c, Packet::PubRec { msg_id: id }, 6);
+        assert_eq!(sends(&mut out), vec![Packet::PubRel { msg_id: id }]);
         assert_eq!(c.inflight_len(), 1);
         // PUBCOMP -> done.
-        let out = c.on_packet(Packet::PubComp { msg_id: id }, 7);
-        assert_eq!(events(&out), vec![&ClientEvent::PublishDone { msg_id: id }]);
+        let mut out = feed(&mut c, Packet::PubComp { msg_id: id }, 7);
+        assert_eq!(
+            events(&mut out),
+            vec![ClientEvent::PublishDone { msg_id: id }]
+        );
         assert_eq!(c.inflight_len(), 0);
     }
 
@@ -1151,21 +1148,11 @@ mod tests {
         let mut cfg = ClientConfig::new("dev1");
         cfg.retry_timeout = Duration::from_secs(1);
         cfg.max_retries = 2;
-        let mut c = Client::new(cfg);
-        c.connect(0);
-        c.on_packet(
-            Packet::ConnAck {
-                code: ReturnCode::Accepted,
-            },
-            0,
-        );
-        let (id, _) = c
-            .publish(TopicRef::Id(1), vec![1], QoS::ExactlyOnce, 0)
-            .unwrap();
+        let mut c = client_with(cfg);
+        let id = publish(&mut c, 1, vec![1], QoS::ExactlyOnce, 0);
         let s = 1_000_000_000u64;
         // First retry.
-        let out = c.on_tick(s + 1);
-        match sends(&out)[0] {
+        match &sends(&mut tick(&mut c, s + 1))[0] {
             Packet::Publish { dup, msg_id, .. } => {
                 assert!(*dup);
                 assert_eq!(*msg_id, id);
@@ -1173,12 +1160,12 @@ mod tests {
             p => panic!("unexpected {p:?}"),
         }
         // Second retry.
-        assert_eq!(sends(&c.on_tick(2 * s + 2)).len(), 1);
+        assert_eq!(sends(&mut tick(&mut c, 2 * s + 2)).len(), 1);
         // Exhausted.
-        let out = c.on_tick(3 * s + 3);
+        let mut out = tick(&mut c, 3 * s + 3);
         assert_eq!(
-            events(&out),
-            vec![&ClientEvent::PublishFailed { msg_id: id }]
+            events(&mut out),
+            vec![ClientEvent::PublishFailed { msg_id: id }]
         );
         assert_eq!(c.inflight_len(), 0);
     }
@@ -1187,21 +1174,18 @@ mod tests {
     fn inflight_window_enforced() {
         let mut cfg = ClientConfig::new("dev1");
         cfg.max_inflight = 2;
-        let mut c = Client::new(cfg);
-        c.connect(0);
-        c.on_packet(
-            Packet::ConnAck {
-                code: ReturnCode::Accepted,
-            },
-            0,
-        );
-        c.publish(TopicRef::Id(1), vec![], QoS::ExactlyOnce, 0)
-            .unwrap();
-        c.publish(TopicRef::Id(1), vec![], QoS::ExactlyOnce, 0)
-            .unwrap();
+        let mut c = client_with(cfg);
+        publish(&mut c, 1, vec![], QoS::ExactlyOnce, 0);
+        publish(&mut c, 1, vec![], QoS::ExactlyOnce, 0);
         assert!(!c.can_publish());
         let err = c
-            .publish(TopicRef::Id(1), vec![], QoS::ExactlyOnce, 0)
+            .publish(
+                TopicRef::Id(1),
+                vec![],
+                QoS::ExactlyOnce,
+                0,
+                &mut ClientOutputs::new(),
+            )
             .unwrap_err();
         assert_eq!(err, Error::InflightFull);
     }
@@ -1209,77 +1193,45 @@ mod tests {
     #[test]
     fn inbound_qos2_delivers_exactly_once() {
         let mut c = connected_client();
-        let publish = Packet::Publish {
-            dup: false,
-            qos: QoS::ExactlyOnce,
-            retain: false,
-            topic: TopicRef::Id(3),
-            msg_id: 77,
-            payload: vec![5],
-        };
-        let out = c.on_packet(publish.clone(), 1);
-        assert_eq!(events(&out).len(), 1);
-        assert_eq!(sends(&out), vec![&Packet::PubRec { msg_id: 77 }]);
+        let mut out = feed(&mut c, inbound_qos2(77, 5), 1);
+        assert_eq!(events(&mut out).len(), 1);
+        assert_eq!(sends(&mut out), vec![Packet::PubRec { msg_id: 77 }]);
         // DUP redelivery before PUBREL: no second Message event.
-        let out = c.on_packet(publish, 2);
-        assert_eq!(events(&out).len(), 0);
-        assert_eq!(sends(&out), vec![&Packet::PubRec { msg_id: 77 }]);
+        let mut out = feed(&mut c, inbound_qos2(77, 5), 2);
+        assert_eq!(events(&mut out).len(), 0);
+        assert_eq!(sends(&mut out), vec![Packet::PubRec { msg_id: 77 }]);
         // PUBREL clears the id and is answered with PUBCOMP.
-        let out = c.on_packet(Packet::PubRel { msg_id: 77 }, 3);
-        assert_eq!(sends(&out), vec![&Packet::PubComp { msg_id: 77 }]);
+        let mut out = feed(&mut c, Packet::PubRel { msg_id: 77 }, 3);
+        assert_eq!(sends(&mut out), vec![Packet::PubComp { msg_id: 77 }]);
     }
 
     #[test]
     fn late_duplicate_after_pubrel_is_still_suppressed() {
         let mut c = connected_client();
-        let publish = Packet::Publish {
-            dup: false,
-            qos: QoS::ExactlyOnce,
-            retain: false,
-            topic: TopicRef::Id(3),
-            msg_id: 77,
-            payload: vec![5],
-        };
-        let out = c.on_packet(publish.clone(), 1);
-        assert_eq!(events(&out).len(), 1);
-        c.on_packet(Packet::PubRel { msg_id: 77 }, 2);
+        let mut out = feed(&mut c, inbound_qos2(77, 5), 1);
+        assert_eq!(events(&mut out).len(), 1);
+        feed(&mut c, Packet::PubRel { msg_id: 77 }, 2);
 
         // A delayed copy of the PUBLISH arrives after the handshake
         // completed (reordering link): no second Message event, but the
         // PUBREC still goes out so the sender's handshake can re-finish.
-        let out = c.on_packet(publish, 3);
-        assert_eq!(events(&out).len(), 0, "late duplicate delivered twice");
-        assert_eq!(sends(&out), vec![&Packet::PubRec { msg_id: 77 }]);
+        let mut out = feed(&mut c, inbound_qos2(77, 5), 3);
+        assert_eq!(events(&mut out).len(), 0, "late duplicate delivered twice");
+        assert_eq!(sends(&mut out), vec![Packet::PubRec { msg_id: 77 }]);
 
         // The window is bounded: after enough *other* completed
         // handshakes, the oldest id ages out and can be legitimately
         // reused for a brand-new message.
         for id in 100..100 + COMPLETED_QOS2_WINDOW as u16 {
-            c.on_packet(
-                Packet::Publish {
-                    dup: false,
-                    qos: QoS::ExactlyOnce,
-                    retain: false,
-                    topic: TopicRef::Id(3),
-                    msg_id: id,
-                    payload: vec![1],
-                },
-                4,
-            );
-            c.on_packet(Packet::PubRel { msg_id: id }, 5);
+            feed(&mut c, inbound_qos2(id, 1), 4);
+            feed(&mut c, Packet::PubRel { msg_id: id }, 5);
         }
-        let out = c.on_packet(
-            Packet::Publish {
-                dup: false,
-                qos: QoS::ExactlyOnce,
-                retain: false,
-                topic: TopicRef::Id(3),
-                msg_id: 77,
-                payload: vec![6],
-            },
-            6,
+        let mut out = feed(&mut c, inbound_qos2(77, 6), 6);
+        assert_eq!(
+            events(&mut out).len(),
+            1,
+            "evicted id blocked a new message"
         );
-        assert_eq!(events(&out).len(), 1, "evicted id blocked a new message");
     }
 
     #[test]
@@ -1287,43 +1239,38 @@ mod tests {
         let mut cfg = ClientConfig::new("dev1");
         cfg.keep_alive = Duration::from_secs(10);
         cfg.retry_timeout = Duration::from_secs(2);
-        let mut c = Client::new(cfg);
-        c.connect(0);
-        c.on_packet(
-            Packet::ConnAck {
-                code: ReturnCode::Accepted,
-            },
-            0,
-        );
+        let mut c = client_with(cfg);
         let s = 1_000_000_000u64;
-        let out = c.on_tick(10 * s);
-        assert_eq!(sends(&out), vec![&Packet::PingReq]);
+        assert_eq!(sends(&mut tick(&mut c, 10 * s)), vec![Packet::PingReq]);
         // PINGRESP clears it.
-        c.on_packet(Packet::PingResp, 10 * s + 1);
-        assert!(events(&c.on_tick(11 * s)).is_empty());
+        feed(&mut c, Packet::PingResp, 10 * s + 1);
+        assert!(events(&mut tick(&mut c, 11 * s)).is_empty());
         // Next ping unanswered long enough -> timeout event.
-        let out = c.on_tick(21 * s);
-        assert_eq!(sends(&out), vec![&Packet::PingReq]);
-        let out = c.on_tick(24 * s);
-        assert_eq!(events(&out), vec![&ClientEvent::PingTimeout]);
+        assert_eq!(sends(&mut tick(&mut c, 21 * s)), vec![Packet::PingReq]);
+        assert_eq!(
+            events(&mut tick(&mut c, 24 * s)),
+            vec![ClientEvent::PingTimeout]
+        );
     }
 
     #[test]
     fn operations_require_connection() {
         let mut c = Client::new(ClientConfig::new("dev1"));
-        assert!(c.register("t", 0).is_err());
+        let mut out = ClientOutputs::new();
+        assert!(c.register("t", 0, &mut out).is_err());
         assert!(c
-            .publish(TopicRef::Id(1), vec![], QoS::AtMostOnce, 0)
+            .publish(TopicRef::Id(1), vec![], QoS::AtMostOnce, 0, &mut out)
             .is_err());
-        assert!(c.subscribe("t/#", QoS::AtMostOnce, 0).is_err());
+        assert!(c.subscribe("t/#", QoS::AtMostOnce, 0, &mut out).is_err());
     }
 
     #[test]
     fn subscribe_validates_filter() {
         let mut c = connected_client();
-        assert!(c.subscribe("a/#/b", QoS::AtMostOnce, 0).is_err());
-        let (_, out) = c.subscribe("a/+/b", QoS::ExactlyOnce, 0).unwrap();
-        assert!(matches!(sends(&out)[0], Packet::Subscribe { .. }));
+        let mut out = ClientOutputs::new();
+        assert!(c.subscribe("a/#/b", QoS::AtMostOnce, 0, &mut out).is_err());
+        c.subscribe("a/+/b", QoS::ExactlyOnce, 0, &mut out).unwrap();
+        assert!(matches!(sends(&mut out)[0], Packet::Subscribe { .. }));
     }
 
     #[test]
@@ -1332,20 +1279,17 @@ mod tests {
         cfg.retry_timeout = Duration::from_secs(1);
         cfg.max_retries = 3;
         let mut c = Client::new(cfg);
-        c.connect(0);
+        c.connect(0, &mut ClientOutputs::new());
         let s = 1_000_000_000u64;
         // Lost CONNACK: the client re-sends CONNECT on each Tretry.
-        let out = c.on_tick(s + 1);
-        assert!(matches!(sends(&out)[0], Packet::Connect { .. }));
+        assert!(matches!(
+            sends(&mut tick(&mut c, s + 1))[0],
+            Packet::Connect { .. }
+        ));
         assert_eq!(c.state(), ClientState::Connecting);
         // CONNACK finally arrives; retransmission stops.
-        c.on_packet(
-            Packet::ConnAck {
-                code: ReturnCode::Accepted,
-            },
-            s + 2,
-        );
-        assert!(sends(&c.on_tick(3 * s))
+        accept(&mut c, s + 2);
+        assert!(sends(&mut tick(&mut c, 3 * s))
             .iter()
             .all(|p| !matches!(p, Packet::Connect { .. })));
     }
@@ -1356,12 +1300,12 @@ mod tests {
         cfg.retry_timeout = Duration::from_secs(1);
         cfg.max_retries = 2;
         let mut c = Client::new(cfg);
-        c.connect(0);
+        c.connect(0, &mut ClientOutputs::new());
         let s = 1_000_000_000u64;
-        assert_eq!(sends(&c.on_tick(s + 1)).len(), 1);
-        assert_eq!(sends(&c.on_tick(2 * s + 2)).len(), 1);
-        let out = c.on_tick(3 * s + 3);
-        assert!(matches!(events(&out)[0], ClientEvent::ConnectFailed(_)));
+        assert_eq!(sends(&mut tick(&mut c, s + 1)).len(), 1);
+        assert_eq!(sends(&mut tick(&mut c, 2 * s + 2)).len(), 1);
+        let mut out = tick(&mut c, 3 * s + 3);
+        assert!(matches!(events(&mut out)[0], ClientEvent::ConnectFailed(_)));
         assert_eq!(c.state(), ClientState::Disconnected);
     }
 
@@ -1369,19 +1313,14 @@ mod tests {
     fn register_and_subscribe_retransmit() {
         let mut cfg = ClientConfig::new("dev1");
         cfg.retry_timeout = Duration::from_secs(1);
-        let mut c = Client::new(cfg);
-        c.connect(0);
-        c.on_packet(
-            Packet::ConnAck {
-                code: ReturnCode::Accepted,
-            },
-            0,
-        );
-        let (reg_id, _) = c.register("topic/a", 0).unwrap();
-        let (sub_id, _) = c.subscribe("topic/#", QoS::AtLeastOnce, 0).unwrap();
+        let mut c = client_with(cfg);
+        let mut out = ClientOutputs::new();
+        let reg_id = c.register("topic/a", 0, &mut out).unwrap();
+        let sub_id = c
+            .subscribe("topic/#", QoS::AtLeastOnce, 0, &mut out)
+            .unwrap();
         let s = 1_000_000_000u64;
-        let out = c.on_tick(s + 1);
-        let resent = sends(&out);
+        let resent = sends(&mut tick(&mut c, s + 1));
         assert!(resent
             .iter()
             .any(|p| matches!(p, Packet::Register { msg_id, .. } if *msg_id == reg_id)));
@@ -1389,7 +1328,8 @@ mod tests {
             |p| matches!(p, Packet::Subscribe { msg_id, dup: true, .. } if *msg_id == sub_id)
         ));
         // Acks stop the retransmission.
-        c.on_packet(
+        feed(
+            &mut c,
             Packet::RegAck {
                 topic_id: 5,
                 msg_id: reg_id,
@@ -1397,7 +1337,8 @@ mod tests {
             },
             s + 2,
         );
-        c.on_packet(
+        feed(
+            &mut c,
             Packet::SubAck {
                 qos: QoS::AtLeastOnce,
                 topic_id: 0,
@@ -1406,8 +1347,7 @@ mod tests {
             },
             s + 2,
         );
-        let out = c.on_tick(3 * s);
-        assert!(sends(&out)
+        assert!(sends(&mut tick(&mut c, 3 * s))
             .iter()
             .all(|p| !matches!(p, Packet::Register { .. } | Packet::Subscribe { .. })));
     }
@@ -1416,13 +1356,13 @@ mod tests {
     fn alloc_msg_id_skips_outstanding_control_ids() {
         let mut c = connected_client();
         // SUBSCRIBE takes msg id 1 and parks it in pending_control.
-        let (sub_id, _) = c.subscribe("t/#", QoS::AtLeastOnce, 0).unwrap();
+        let sub_id = c
+            .subscribe("t/#", QoS::AtLeastOnce, 0, &mut ClientOutputs::new())
+            .unwrap();
         assert_eq!(sub_id, 1);
         // Force the allocator to wrap back onto the outstanding control id.
         c.next_msg_id = sub_id;
-        let (pub_id, _) = c
-            .publish(TopicRef::Id(1), vec![1], QoS::AtLeastOnce, 0)
-            .unwrap();
+        let pub_id = publish(&mut c, 1, vec![1], QoS::AtLeastOnce, 0);
         assert_ne!(
             pub_id, sub_id,
             "publish must not reuse an outstanding SUBSCRIBE id"
@@ -1435,33 +1375,27 @@ mod tests {
     fn disconnect_transitions_state_and_clears_timers() {
         let mut cfg = ClientConfig::new("dev1");
         cfg.keep_alive = Duration::from_secs(1);
-        let mut c = Client::new(cfg);
-        c.connect(0);
-        c.on_packet(
-            Packet::ConnAck {
-                code: ReturnCode::Accepted,
-            },
-            0,
-        );
-        let out = c.disconnect(5);
-        assert!(matches!(sends(&out)[0], Packet::Disconnect { .. }));
+        let mut c = client_with(cfg);
+        let mut out = ClientOutputs::new();
+        c.disconnect(5, &mut out);
+        assert!(matches!(sends(&mut out)[0], Packet::Disconnect { .. }));
         assert_eq!(c.state(), ClientState::Disconnected);
         // Publishing on the torn-down session is rejected.
         assert!(c
-            .publish(TopicRef::Id(1), vec![], QoS::AtMostOnce, 6)
+            .publish(TopicRef::Id(1), vec![], QoS::AtMostOnce, 6, &mut out)
             .is_err());
         // No keep-alive pings fire on a disconnected session.
         let s = 1_000_000_000u64;
-        assert!(c.on_tick(100 * s).is_empty());
+        let mut out = tick(&mut c, 100 * s);
+        assert!(sends(&mut out).is_empty() && out.events.is_empty());
     }
 
     #[test]
     fn puback_rejection_is_surfaced_not_publish_done() {
         let mut c = connected_client();
-        let (id, _) = c
-            .publish(TopicRef::Id(9), vec![42], QoS::AtLeastOnce, 0)
-            .unwrap();
-        let out = c.on_packet(
+        let id = publish(&mut c, 9, vec![42], QoS::AtLeastOnce, 0);
+        let mut out = feed(
+            &mut c,
             Packet::PubAck {
                 topic_id: 9,
                 msg_id: id,
@@ -1470,8 +1404,8 @@ mod tests {
             1,
         );
         assert_eq!(
-            events(&out),
-            vec![&ClientEvent::PublishRejected {
+            events(&mut out),
+            vec![ClientEvent::PublishRejected {
                 msg_id: id,
                 code: ReturnCode::InvalidTopicId
             }]
@@ -1485,23 +1419,14 @@ mod tests {
     #[test]
     fn reconnect_resumes_registrations_and_remaps_inflight() {
         let mut c = connected_client();
-        let (reg_id, _) = c.register("prov/dev1", 0).unwrap();
-        c.on_packet(
-            Packet::RegAck {
-                topic_id: 42,
-                msg_id: reg_id,
-                code: ReturnCode::Accepted,
-            },
-            1,
-        );
+        register(&mut c, "prov/dev1", 42);
         assert_eq!(c.topic_id("prov/dev1"), Some(42));
-        let (pub_id, _) = c
-            .publish(TopicRef::Id(42), vec![7], QoS::AtLeastOnce, 2)
-            .unwrap();
+        let pub_id = publish(&mut c, 42, vec![7], QoS::AtLeastOnce, 2);
 
         // Connection lost; reconnect requests session continuation.
-        let out = c.reconnect(10);
-        match sends(&out)[0] {
+        let mut out = ClientOutputs::new();
+        c.reconnect(10, &mut out);
+        match &sends(&mut out)[0] {
             Packet::Connect { clean_session, .. } => assert!(!clean_session),
             p => panic!("unexpected {p:?}"),
         }
@@ -1509,13 +1434,7 @@ mod tests {
 
         // CONNACK: the tracked topic is re-registered; the in-flight
         // publish waits for the fresh REGACK (its id may have changed).
-        let out = c.on_packet(
-            Packet::ConnAck {
-                code: ReturnCode::Accepted,
-            },
-            11,
-        );
-        let resent = sends(&out);
+        let resent = sends(&mut accept(&mut c, 11));
         let new_reg_id = resent
             .iter()
             .find_map(|p| match p {
@@ -1529,15 +1448,15 @@ mod tests {
 
         // The restarted broker hands out a different id: the in-flight
         // publish is remapped and retransmitted with DUP.
-        let out = c.on_packet(
+        let resent = sends(&mut feed(
+            &mut c,
             Packet::RegAck {
                 topic_id: 77,
                 msg_id: new_reg_id,
                 code: ReturnCode::Accepted,
             },
             12,
-        );
-        let resent = sends(&out);
+        ));
         match resent
             .iter()
             .find(|p| matches!(p, Packet::Publish { .. }))
@@ -1561,7 +1480,8 @@ mod tests {
         assert_eq!(c.topic_id("prov/dev1"), Some(77));
 
         // Completion still works on the resumed session.
-        let out = c.on_packet(
+        let mut out = feed(
+            &mut c,
             Packet::PubAck {
                 topic_id: 77,
                 msg_id: pub_id,
@@ -1570,34 +1490,18 @@ mod tests {
             13,
         );
         assert_eq!(
-            events(&out),
-            vec![&ClientEvent::PublishDone { msg_id: pub_id }]
+            events(&mut out),
+            vec![ClientEvent::PublishDone { msg_id: pub_id }]
         );
     }
 
     #[test]
     fn rejected_resume_registration_dead_letters_inflight() {
         let mut c = connected_client();
-        let (reg_id, _) = c.register("gone/topic", 0).unwrap();
-        c.on_packet(
-            Packet::RegAck {
-                topic_id: 8,
-                msg_id: reg_id,
-                code: ReturnCode::Accepted,
-            },
-            1,
-        );
-        let (pub_id, _) = c
-            .publish(TopicRef::Id(8), vec![5], QoS::AtLeastOnce, 2)
-            .unwrap();
-        c.reconnect(10);
-        let out = c.on_packet(
-            Packet::ConnAck {
-                code: ReturnCode::Accepted,
-            },
-            11,
-        );
-        let new_reg_id = sends(&out)
+        register(&mut c, "gone/topic", 8);
+        let pub_id = publish(&mut c, 8, vec![5], QoS::AtLeastOnce, 2);
+        c.reconnect(10, &mut ClientOutputs::new());
+        let new_reg_id = sends(&mut accept(&mut c, 11))
             .iter()
             .find_map(|p| match p {
                 Packet::Register { msg_id, .. } => Some(*msg_id),
@@ -1607,7 +1511,8 @@ mod tests {
         // The broker refuses the re-registration: resumption must still
         // complete, and the stuck in-flight publish must surface as a
         // rejection with its payload recoverable.
-        let out = c.on_packet(
+        let mut out = feed(
+            &mut c,
             Packet::RegAck {
                 topic_id: 0,
                 msg_id: new_reg_id,
@@ -1616,7 +1521,7 @@ mod tests {
             12,
         );
         assert!(c.resume_complete(), "rejection must not wedge resumption");
-        assert!(events(&out).iter().any(
+        assert!(events(&mut out).iter().any(
             |e| matches!(e, ClientEvent::PublishRejected { msg_id, .. } if *msg_id == pub_id)
         ));
         assert_eq!(c.inflight_len(), 0);
@@ -1627,8 +1532,11 @@ mod tests {
     #[test]
     fn reconnect_resubscribes_acknowledged_filters() {
         let mut c = connected_client();
-        let (sub_id, _) = c.subscribe("prov/#", QoS::ExactlyOnce, 0).unwrap();
-        c.on_packet(
+        let sub_id = c
+            .subscribe("prov/#", QoS::ExactlyOnce, 0, &mut ClientOutputs::new())
+            .unwrap();
+        feed(
+            &mut c,
             Packet::SubAck {
                 qos: QoS::ExactlyOnce,
                 topic_id: 0,
@@ -1637,15 +1545,9 @@ mod tests {
             },
             1,
         );
-        c.reconnect(10);
-        let out = c.on_packet(
-            Packet::ConnAck {
-                code: ReturnCode::Accepted,
-            },
-            11,
-        );
+        c.reconnect(10, &mut ClientOutputs::new());
         assert!(
-            sends(&out).iter().any(|p| matches!(
+            sends(&mut accept(&mut c, 11)).iter().any(|p| matches!(
                 p,
                 Packet::Subscribe { topic: TopicRef::Name(f), qos: QoS::ExactlyOnce, .. }
                     if f == "prov/#"
@@ -1657,50 +1559,33 @@ mod tests {
     #[test]
     fn reconnect_retransmits_pubrel_phase_as_pubrel() {
         let mut c = connected_client();
-        let (reg_id, _) = c.register("t", 0).unwrap();
-        c.on_packet(
-            Packet::RegAck {
-                topic_id: 5,
-                msg_id: reg_id,
-                code: ReturnCode::Accepted,
-            },
-            1,
-        );
-        let (pub_id, _) = c
-            .publish(TopicRef::Id(5), vec![1], QoS::ExactlyOnce, 2)
-            .unwrap();
+        register(&mut c, "t", 5);
+        let pub_id = publish(&mut c, 5, vec![1], QoS::ExactlyOnce, 2);
         // PUBREC received: the exchange is in the PUBREL phase.
-        c.on_packet(Packet::PubRec { msg_id: pub_id }, 3);
-        c.reconnect(10);
-        let out = c.on_packet(
-            Packet::ConnAck {
-                code: ReturnCode::Accepted,
-            },
-            11,
-        );
-        let reg_msg_id = sends(&out)
+        feed(&mut c, Packet::PubRec { msg_id: pub_id }, 3);
+        c.reconnect(10, &mut ClientOutputs::new());
+        let reg_msg_id = sends(&mut accept(&mut c, 11))
             .iter()
             .find_map(|p| match p {
                 Packet::Register { msg_id, .. } => Some(*msg_id),
                 _ => None,
             })
             .unwrap();
-        let out = c.on_packet(
+        let resent = sends(&mut feed(
+            &mut c,
             Packet::RegAck {
                 topic_id: 5,
                 msg_id: reg_msg_id,
                 code: ReturnCode::Accepted,
             },
             12,
-        );
+        ));
         // Second half of the QoS 2 handshake resumes with PUBREL, not a
         // duplicate PUBLISH (which could double-deliver).
-        assert!(sends(&out)
+        assert!(resent
             .iter()
             .any(|p| matches!(p, Packet::PubRel { msg_id } if *msg_id == pub_id)));
-        assert!(sends(&out)
-            .iter()
-            .all(|p| !matches!(p, Packet::Publish { .. })));
+        assert!(resent.iter().all(|p| !matches!(p, Packet::Publish { .. })));
     }
 
     #[test]
@@ -1708,23 +1593,14 @@ mod tests {
         let mut cfg = ClientConfig::new("dev1");
         cfg.retry_timeout = Duration::from_secs(1);
         cfg.max_retries = 1;
-        let mut c = Client::new(cfg);
-        c.connect(0);
-        c.on_packet(
-            Packet::ConnAck {
-                code: ReturnCode::Accepted,
-            },
-            0,
-        );
-        let (id, _) = c
-            .publish(TopicRef::Id(1), vec![9, 9], QoS::AtLeastOnce, 0)
-            .unwrap();
+        let mut c = client_with(cfg);
+        let id = publish(&mut c, 1, vec![9, 9], QoS::AtLeastOnce, 0);
         let s = 1_000_000_000u64;
-        c.on_tick(s + 1); // retry 1
-        let out = c.on_tick(3 * s); // exhausted
+        tick(&mut c, s + 1); // retry 1
+        let mut out = tick(&mut c, 3 * s); // exhausted
         assert_eq!(
-            events(&out),
-            vec![&ClientEvent::PublishFailed { msg_id: id }]
+            events(&mut out),
+            vec![ClientEvent::PublishFailed { msg_id: id }]
         );
         assert_eq!(c.take_dead_letters(), vec![(id, vec![9, 9])]);
     }
@@ -1734,26 +1610,17 @@ mod tests {
         let mut cfg = ClientConfig::new("dev1");
         cfg.retry_timeout = Duration::from_secs(1);
         cfg.max_retries = 1;
-        let mut c = Client::new(cfg);
-        c.connect(0);
-        c.on_packet(
-            Packet::ConnAck {
-                code: ReturnCode::Accepted,
-            },
-            0,
-        );
-        let (id, _) = c
-            .publish(TopicRef::Id(1), vec![4], QoS::ExactlyOnce, 0)
-            .unwrap();
+        let mut c = client_with(cfg);
+        let id = publish(&mut c, 1, vec![4], QoS::ExactlyOnce, 0);
         // PUBREC arrives: the broker provably holds (and forwarded) the
         // message; only the PUBREL/PUBCOMP leg remains.
-        c.on_packet(Packet::PubRec { msg_id: id }, 1);
+        feed(&mut c, Packet::PubRec { msg_id: id }, 1);
         let s = 1_000_000_000u64;
-        c.on_tick(2 * s); // PUBREL retry
-        let out = c.on_tick(4 * s); // exhausted
+        tick(&mut c, 2 * s); // PUBREL retry
+        let mut out = tick(&mut c, 4 * s); // exhausted
         assert_eq!(
-            events(&out),
-            vec![&ClientEvent::PublishFailed { msg_id: id }]
+            events(&mut out),
+            vec![ClientEvent::PublishFailed { msg_id: id }]
         );
         // Replaying this payload as a fresh publish would double-deliver.
         assert!(c.take_dead_letters().is_empty());
@@ -1762,7 +1629,8 @@ mod tests {
     #[test]
     fn broker_register_is_acked() {
         let mut c = connected_client();
-        let out = c.on_packet(
+        let mut out = feed(
+            &mut c,
             Packet::Register {
                 topic_id: 9,
                 msg_id: 4,
@@ -1771,8 +1639,8 @@ mod tests {
             0,
         );
         assert_eq!(
-            sends(&out),
-            vec![&Packet::RegAck {
+            sends(&mut out),
+            vec![Packet::RegAck {
                 topic_id: 9,
                 msg_id: 4,
                 code: ReturnCode::Accepted

@@ -21,12 +21,13 @@
 //!   topic→shard-mask cache, and the bounded lock-free forwarding rings
 //!   that carry pre-encoded publishes across shard boundaries;
 //! * [`net`] — bindings of the sans-io cores to real `std::net::UdpSocket`s
-//!   (the N-shard gateway with per-shard serve loops, blocking client)
-//!   so the library is usable outside the simulator.
+//!   (the N-shard gateway with per-shard serve loops, blocking client).
 //!
-//! The same state machines drive both the real sockets and the
-//! discrete-event simulator used for the paper's experiments; QoS
-//! correctness is therefore tested once and holds in both modes.
+//! The same state machines drive the real sockets and the sans-io tests
+//! (lossy virtual channels, seeded chaos), so QoS correctness is tested
+//! on the code that ships. The paper's discrete-event simulator
+//! (`core::sim`) does not run them: it is a calibrated cost model that
+//! takes only [`QoS`] from this crate.
 
 pub mod broker;
 pub mod client;
@@ -37,10 +38,8 @@ pub mod shard;
 pub mod topic;
 
 pub use broker::{Broker, BrokerConfig};
-pub use client::{Client, ClientConfig, ClientEvent, ClientState};
-pub use net::{
-    Backoff, DatagramFate, DatagramFault, FaultDir, NetError, ReconnectPolicy, UdpBroker, UdpClient,
-};
+pub use client::{Client, ClientConfig, ClientEvent, ClientOutputs, ClientState};
+pub use net::{Backoff, DatagramFate, DatagramFault, FaultDir, NetError, UdpBroker, UdpClient};
 pub use packet::{Packet, QoS, ReturnCode, TopicRef};
 pub use router::{shard_for_client, SharedRouter};
 pub use shard::{ForwardFabric, ForwardFrame, ForwardRing};

@@ -8,12 +8,12 @@
 //! ([`UdpBroker::snapshot_to_file`] / [`UdpBroker::spawn_from_file`]).
 //! [`UdpClient`] is a blocking client suitable for driving from an
 //! application or a transmitter thread, and [`Backoff`] is the jittered
-//! reconnect schedule shared by it and the capture transmitter. These make
-//! the library usable outside the simulator — the integration tests
-//! exercise full QoS 2 capture over loopback UDP.
+//! schedule the capture transmitter spaces [`UdpClient::try_reconnect`]
+//! attempts with. The integration tests exercise full QoS 2 capture over
+//! loopback UDP.
 
 use crate::broker::{wire, Broker, BrokerConfig, BrokerOutputs, BrokerStats};
-use crate::client::{Client, ClientConfig, ClientEvent, Nanos, Output};
+use crate::client::{Client, ClientConfig, ClientEvent, ClientOutputs, Nanos};
 use crate::packet::{msg_type, Packet, PacketRef, QoS, TopicRef};
 use crate::router::{shard_for_client, shard_for_key, SharedRouter};
 use crate::shard::{ForwardFabric, ForwardFrame};
@@ -980,8 +980,9 @@ impl NetError {
     /// Whether the failure is plausibly recoverable by retrying — the
     /// signature of a network partition or a broker mid-restart — as
     /// opposed to a fatal condition (protocol violation, permission
-    /// error) that no amount of retrying fixes. [`UdpClient::reconnect`]
-    /// keeps backing off on transient errors and aborts on fatal ones.
+    /// error) that no amount of retrying fixes. The capture transmitter's
+    /// link keeps backing off on transient errors and jumps straight to
+    /// its longest delay on fatal ones.
     pub fn is_transient(&self) -> bool {
         match self {
             // The expected response never arrived: partition or slow link.
@@ -1025,50 +1026,8 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// Exponential-backoff schedule for [`UdpClient::reconnect`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ReconnectPolicy {
-    /// Delay before the second attempt (the first fires immediately).
-    pub initial_backoff: Duration,
-    /// Ceiling the doubling backoff saturates at.
-    pub max_backoff: Duration,
-    /// Attempts before giving up with the last transient error.
-    pub max_attempts: u32,
-    /// Per-attempt budget for the CONNECT handshake + session resumption.
-    pub attempt_timeout: Duration,
-    /// Jitter fraction in `[0, 1]`: each sleep is drawn uniformly from
-    /// `[(1 − jitter)·backoff, (1 + jitter)·backoff]`. A restarted gateway
-    /// otherwise sees every disconnected edge device's retry timer fire in
-    /// lockstep — the reconnect stampede; jitter spreads the herd.
-    pub jitter: f64,
-    /// Overall wall-clock budget across all attempts, backoff sleeps
-    /// included. `max_attempts` alone bounds give-up only indirectly — the
-    /// worst case is `max_attempts × (attempt_timeout + max_backoff)`,
-    /// which balloons when either knob is raised. With a budget, each
-    /// attempt's timeout and each sleep are capped at the remaining
-    /// budget and the loop gives up once it is spent, so the caller gets
-    /// a predictable give-up window. `None` disables the budget.
-    pub max_elapsed: Option<Duration>,
-}
-
-impl Default for ReconnectPolicy {
-    fn default() -> Self {
-        ReconnectPolicy {
-            initial_backoff: Duration::from_millis(100),
-            max_backoff: Duration::from_secs(5),
-            max_attempts: 10,
-            attempt_timeout: Duration::from_secs(2),
-            jitter: 0.25,
-            // Roomier than the default schedule's ~45 s worst case, so it
-            // only trips when something (a stuck attempt, a raised knob)
-            // would otherwise retry far past the point of usefulness.
-            max_elapsed: Some(Duration::from_secs(60)),
-        }
-    }
-}
-
-/// Jittered exponential backoff: the one reconnect schedule behind both
-/// [`UdpClient::reconnect`] and the capture transmitter's link.
+/// Jittered exponential backoff: the reconnect schedule of the capture
+/// transmitter's link, which drives [`UdpClient::try_reconnect`].
 ///
 /// Each [`Backoff::next_delay`] is the current delay `b` spread uniformly
 /// over `[(1 − jitter)·b, (1 + jitter)·b]`; the delay then doubles, up to
@@ -1146,10 +1105,9 @@ pub struct UdpClient {
     broker: SocketAddr,
     client: Client,
     start: Instant,
-    events: VecDeque<ClientEvent>,
-    /// Reused for every outbound packet so the publish path does not
-    /// allocate a fresh wire buffer per datagram.
-    write_buf: Vec<u8>,
+    /// The state machine's datagrams (sent after every call) and its event
+    /// queue; one wire buffer reused for every outbound datagram.
+    out: ClientOutputs,
     /// Chaos seam (see [`UdpClient::set_fault`]); `None` in production.
     fault: Option<Arc<dyn DatagramFault>>,
     /// Datagrams held back by an injected delay, with release deadlines.
@@ -1172,14 +1130,13 @@ impl UdpClient {
             broker,
             client: Client::new(config),
             start: Instant::now(),
-            events: VecDeque::new(),
-            write_buf: Vec::new(),
+            out: ClientOutputs::new(),
             fault: None,
             held_in: Vec::new(),
             held_out: Vec::new(),
         };
-        let outputs = c.client.connect(c.now());
-        c.dispatch(outputs)?;
+        c.client.connect(c.now(), &mut c.out);
+        c.flush()?;
         c.wait_for(timeout, "CONNACK", |e| {
             matches!(e, ClientEvent::Connected | ClientEvent::ConnectFailed(_))
         })
@@ -1204,47 +1161,35 @@ impl UdpClient {
         self.fault = Some(fault);
     }
 
-    fn dispatch(&mut self, outputs: Vec<Output>) -> Result<(), NetError> {
-        for o in outputs {
-            match o {
-                Output::Send(p) => {
-                    self.write_buf.clear();
-                    p.encode_into(&mut self.write_buf);
-                    self.send_write_buf()?;
-                    // The packet's payload buffer is done (the state machine
-                    // keeps its own copy for QoS 1/2 retransmission) — feed
-                    // it back to the pool so QoS 0 publishes recycle too.
-                    if let Packet::Publish { payload, .. } = p {
-                        self.client.reclaim_payload(payload);
-                    }
+    /// Sends the datagrams the state machine produced, each subject to the
+    /// installed fault plan (if any). Stops sending at the first socket
+    /// error; the rest are dropped like lost datagrams (QoS 1/2 traffic
+    /// retransmits).
+    fn flush(&mut self) -> Result<(), NetError> {
+        let (socket, fault, held_out) = (&self.socket, &self.fault, &mut self.held_out);
+        let mut sent = Ok(());
+        self.out.emit(|bytes| {
+            if sent.is_err() {
+                return;
+            }
+            let fate = match fault {
+                Some(f) => f.fate(FaultDir::Outbound, bytes),
+                None => DatagramFate::Deliver,
+            };
+            sent = match fate {
+                DatagramFate::Deliver => socket.send(bytes).map(drop),
+                DatagramFate::Drop => Ok(()),
+                DatagramFate::Duplicate => socket
+                    .send(bytes)
+                    .and_then(|_| socket.send(bytes))
+                    .map(drop),
+                DatagramFate::Delay(dur) => {
+                    held_out.push((Instant::now() + dur, bytes.to_vec()));
+                    Ok(())
                 }
-                Output::Event(e) => self.events.push_back(e),
-            }
-        }
-        Ok(())
-    }
-
-    /// Sends `write_buf`, subject to the installed fault plan (if any).
-    fn send_write_buf(&mut self) -> Result<(), NetError> {
-        let fate = match &self.fault {
-            Some(f) => f.fate(FaultDir::Outbound, &self.write_buf),
-            None => DatagramFate::Deliver,
-        };
-        match fate {
-            DatagramFate::Deliver => {
-                self.socket.send(&self.write_buf)?;
-            }
-            DatagramFate::Drop => {}
-            DatagramFate::Duplicate => {
-                self.socket.send(&self.write_buf)?;
-                self.socket.send(&self.write_buf)?;
-            }
-            DatagramFate::Delay(dur) => {
-                self.held_out
-                    .push((Instant::now() + dur, self.write_buf.clone()));
-            }
-        }
-        Ok(())
+            };
+        });
+        Ok(sent?)
     }
 
     /// Releases datagrams whose injected delay has expired: held outbound
@@ -1266,8 +1211,8 @@ impl UdpClient {
             if self.held_in[i].0 <= due {
                 let (_, bytes) = self.held_in.swap_remove(i);
                 let now = self.now();
-                if let Ok(outputs) = self.client.on_datagram(&bytes, now) {
-                    self.dispatch(outputs)?;
+                if self.client.on_datagram(&bytes, now, &mut self.out).is_ok() {
+                    self.flush()?;
                 }
             } else {
                 i += 1;
@@ -1303,8 +1248,12 @@ impl UdpClient {
                     // Borrowed decode: inbound PUBLISH payloads are copied
                     // once into a pooled buffer, not a fresh Vec (malformed
                     // datagrams are dropped, as before).
-                    if let Ok(outputs) = self.client.on_datagram(&buf[..n], now) {
-                        self.dispatch(outputs)?;
+                    if self
+                        .client
+                        .on_datagram(&buf[..n], now, &mut self.out)
+                        .is_ok()
+                    {
+                        self.flush()?;
                     }
                 }
             }
@@ -1314,23 +1263,22 @@ impl UdpClient {
             Err(e) => return Err(NetError::Io(e)),
         }
         let now = self.now();
-        let outputs = self.client.on_tick(now);
-        self.dispatch(outputs)?;
-        Ok(())
+        self.client.on_tick(now, &mut self.out);
+        self.flush()
     }
 
     /// Pops a queued event, pumping once if none is queued.
     pub fn poll_event(&mut self) -> Result<Option<ClientEvent>, NetError> {
-        if let Some(e) = self.events.pop_front() {
+        if let Some(e) = self.out.events.pop_front() {
             return Ok(Some(e));
         }
         self.pump()?;
-        Ok(self.events.pop_front())
+        Ok(self.out.events.pop_front())
     }
 
     /// Pops a queued event without touching the socket (never blocks).
     pub fn pop_event(&mut self) -> Option<ClientEvent> {
-        self.events.pop_front()
+        self.out.events.pop_front()
     }
 
     fn wait_for<F>(
@@ -1345,11 +1293,11 @@ impl UdpClient {
         let deadline = Instant::now() + timeout;
         let mut stash = VecDeque::new();
         loop {
-            while let Some(e) = self.events.pop_front() {
+            while let Some(e) = self.out.events.pop_front() {
                 if predicate(&e) {
                     // Preserve unrelated events for later polls.
                     while let Some(s) = stash.pop_front() {
-                        self.events.push_back(s);
+                        self.out.events.push_back(s);
                     }
                     return Ok(e);
                 }
@@ -1357,7 +1305,7 @@ impl UdpClient {
             }
             if Instant::now() >= deadline {
                 while let Some(s) = stash.pop_front() {
-                    self.events.push_back(s);
+                    self.out.events.push_back(s);
                 }
                 return Err(NetError::Timeout(what));
             }
@@ -1368,8 +1316,8 @@ impl UdpClient {
     /// Registers a topic name, returning its broker-assigned id.
     pub fn register(&mut self, topic: &str, timeout: Duration) -> Result<u16, NetError> {
         let now = self.now();
-        let (_, outputs) = self.client.register(topic, now)?;
-        self.dispatch(outputs)?;
+        self.client.register(topic, now, &mut self.out)?;
+        self.flush()?;
         let topic_owned = topic.to_owned();
         let e = self.wait_for(timeout, "REGACK", |e| {
             matches!(e, ClientEvent::Registered { topic_name, .. } if *topic_name == topic_owned)
@@ -1389,8 +1337,8 @@ impl UdpClient {
         timeout: Duration,
     ) -> Result<u16, NetError> {
         let now = self.now();
-        let (msg_id, outputs) = self.client.subscribe(filter, qos, now)?;
-        self.dispatch(outputs)?;
+        let msg_id = self.client.subscribe(filter, qos, now, &mut self.out)?;
+        self.flush()?;
         let e = self.wait_for(
             timeout,
             "SUBACK",
@@ -1400,23 +1348,6 @@ impl UdpClient {
             ClientEvent::Subscribed { topic_id, .. } => Ok(topic_id),
             _ => Err(NetError::Timeout("SUBACK")),
         }
-    }
-
-    /// Publishes without waiting for QoS completion. Returns the message id
-    /// (0 for QoS 0); completion surfaces later as
-    /// [`ClientEvent::PublishDone`].
-    pub fn publish_nowait(
-        &mut self,
-        topic_id: u16,
-        payload: Vec<u8>,
-        qos: QoS,
-    ) -> Result<u16, NetError> {
-        let now = self.now();
-        let (msg_id, outputs) = self
-            .client
-            .publish(TopicRef::Id(topic_id), payload, qos, now)?;
-        self.dispatch(outputs)?;
-        Ok(msg_id)
     }
 
     /// Publishes without waiting, reporting transport trouble without
@@ -1432,10 +1363,10 @@ impl UdpClient {
         qos: QoS,
     ) -> Result<(u16, bool), Error> {
         let now = self.now();
-        let (msg_id, outputs) = self
-            .client
-            .publish(TopicRef::Id(topic_id), payload, qos, now)?;
-        let sent = self.dispatch(outputs).is_ok();
+        let msg_id =
+            self.client
+                .publish(TopicRef::Id(topic_id), payload, qos, now, &mut self.out)?;
+        let sent = self.flush().is_ok();
         Ok((msg_id, sent))
     }
 
@@ -1447,7 +1378,11 @@ impl UdpClient {
         qos: QoS,
         timeout: Duration,
     ) -> Result<(), NetError> {
-        let msg_id = self.publish_nowait(topic_id, payload, qos)?;
+        let now = self.now();
+        let msg_id =
+            self.client
+                .publish(TopicRef::Id(topic_id), payload, qos, now, &mut self.out)?;
+        self.flush()?;
         if qos == QoS::AtMostOnce {
             return Ok(());
         }
@@ -1504,9 +1439,8 @@ impl UdpClient {
     /// Graceful disconnect (best effort).
     pub fn disconnect(&mut self) -> Result<(), NetError> {
         let now = self.now();
-        let outputs = self.client.disconnect(now);
-        self.dispatch(outputs)?;
-        Ok(())
+        self.client.disconnect(now, &mut self.out);
+        self.flush()
     }
 
     /// Current connection state of the underlying state machine.
@@ -1538,8 +1472,8 @@ impl UdpClient {
         socket.set_read_timeout(Some(Duration::from_millis(10)))?;
         self.socket = socket;
         let now = self.now();
-        let outputs = self.client.reconnect(now);
-        self.dispatch(outputs)?;
+        self.client.reconnect(now, &mut self.out);
+        self.flush()?;
         let deadline = Instant::now() + timeout;
         self.wait_for(timeout, "reconnect CONNACK", |e| {
             matches!(e, ClientEvent::Connected | ClientEvent::ConnectFailed(_))
@@ -1557,56 +1491,6 @@ impl UdpClient {
         }
         Ok(())
     }
-
-    /// Reconnects with exponential backoff, distinguishing transient
-    /// failures (partition, broker mid-restart — retried with a doubling
-    /// delay) from fatal ones (protocol rejection, local configuration —
-    /// surfaced immediately). Gives up when either `max_attempts` or the
-    /// overall `max_elapsed` budget is exhausted, whichever comes first.
-    /// Returns the number of attempts on success.
-    pub fn reconnect(&mut self, policy: &ReconnectPolicy) -> Result<u32, NetError> {
-        let started = Instant::now();
-        let mut backoff = Backoff::new(
-            policy.initial_backoff,
-            policy.max_backoff,
-            policy.jitter,
-            entropy_seed(),
-        );
-        let mut last: Option<NetError> = None;
-        for attempt in 1..=policy.max_attempts.max(1) {
-            // The first attempt always runs (possibly with a trimmed
-            // timeout); later ones only while budget remains.
-            let attempt_timeout = match policy.max_elapsed {
-                Some(budget) => {
-                    let remaining = budget.saturating_sub(started.elapsed());
-                    if attempt > 1 && remaining.is_zero() {
-                        break;
-                    }
-                    policy
-                        .attempt_timeout
-                        .min(remaining.max(Duration::from_millis(1)))
-                }
-                None => policy.attempt_timeout,
-            };
-            match self.try_reconnect(attempt_timeout) {
-                Ok(()) => return Ok(attempt),
-                Err(e) if !e.is_transient() => return Err(e),
-                Err(e) => last = Some(e),
-            }
-            if attempt < policy.max_attempts.max(1) {
-                let mut sleep = backoff.next_delay();
-                if let Some(budget) = policy.max_elapsed {
-                    let remaining = budget.saturating_sub(started.elapsed());
-                    if remaining.is_zero() {
-                        break;
-                    }
-                    sleep = sleep.min(remaining);
-                }
-                std::thread::sleep(sleep);
-            }
-        }
-        Err(last.unwrap_or(NetError::Timeout("reconnect")))
-    }
 }
 
 #[cfg(test)]
@@ -1622,6 +1506,18 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mqtt-sn-{test}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join("gateway.snap")
+    }
+
+    /// Retries [`UdpClient::try_reconnect`] 50 ms apart until it succeeds;
+    /// returns the number of attempts it took.
+    fn reconnect(client: &mut UdpClient, attempt_timeout: Duration) -> u32 {
+        for attempt in 1..=20 {
+            if client.try_reconnect(attempt_timeout).is_ok() {
+                return attempt;
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        panic!("no reconnect in 20 attempts");
     }
 
     #[test]
@@ -1734,13 +1630,8 @@ mod tests {
         // Both sides reconnect with backoff; sessions resume (the
         // subscriber's subscription and the publisher's registration both
         // survive without re-issuing them).
-        let policy = ReconnectPolicy {
-            initial_backoff: Duration::from_millis(50),
-            attempt_timeout: Duration::from_secs(1),
-            ..ReconnectPolicy::default()
-        };
-        sub.reconnect(&policy).unwrap();
-        let attempts = publisher.reconnect(&policy).unwrap();
+        reconnect(&mut sub, Duration::from_secs(1));
+        let attempts = reconnect(&mut publisher, Duration::from_secs(1));
         assert!(attempts >= 1);
         let new_tid = publisher.topic_id("re/dev1").expect("registration resumed");
 
@@ -1763,7 +1654,7 @@ mod tests {
         broker.shutdown_to_file(&path).unwrap();
 
         // Bring the broker back only after a delay: early attempts must
-        // fail transiently and the backoff loop must ride them out.
+        // fail transiently and the retry loop must ride them out.
         let restarter = {
             let path = path.clone();
             std::thread::spawn(move || {
@@ -1771,15 +1662,7 @@ mod tests {
                 UdpBroker::spawn_from_file(addr, &path).unwrap()
             })
         };
-        let attempts = client
-            .reconnect(&ReconnectPolicy {
-                initial_backoff: Duration::from_millis(100),
-                max_backoff: Duration::from_millis(400),
-                max_attempts: 20,
-                attempt_timeout: Duration::from_millis(500),
-                ..ReconnectPolicy::default()
-            })
-            .unwrap();
+        let attempts = reconnect(&mut client, Duration::from_millis(500));
         assert!(
             attempts >= 2,
             "expected early attempts to fail, got {attempts}"
@@ -1850,13 +1733,8 @@ mod tests {
         broker.shutdown();
         let broker = UdpBroker::spawn_from_file(addr, &path).unwrap();
 
-        let policy = ReconnectPolicy {
-            initial_backoff: Duration::from_millis(50),
-            attempt_timeout: Duration::from_secs(1),
-            ..ReconnectPolicy::default()
-        };
-        sub.reconnect(&policy).unwrap();
-        publisher.reconnect(&policy).unwrap();
+        reconnect(&mut sub, Duration::from_secs(1));
+        reconnect(&mut publisher, Duration::from_secs(1));
         // Both the registration and the subscription survived the file trip.
         let new_tid = publisher
             .topic_id("fs/dev1")
@@ -2033,43 +1911,6 @@ mod tests {
         .err()
         .expect("must fail");
         assert!(matches!(err, NetError::Timeout(_) | NetError::Io(_)));
-    }
-
-    #[test]
-    fn reconnect_gives_up_within_elapsed_budget() {
-        let broker = UdpBroker::spawn("127.0.0.1:0", 1, BrokerConfig::default()).unwrap();
-        let mut client =
-            UdpClient::connect(broker.local_addr(), ClientConfig::new("budget"), timeout())
-                .unwrap();
-        broker.shutdown();
-        // Effectively unbounded attempts: without the elapsed budget this
-        // policy would retry for minutes against the dead address.
-        let budget = Duration::from_millis(400);
-        let policy = ReconnectPolicy {
-            initial_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_millis(100),
-            max_attempts: u32::MAX,
-            attempt_timeout: Duration::from_millis(100),
-            jitter: 0.25,
-            max_elapsed: Some(budget),
-        };
-        let started = Instant::now();
-        let err = client
-            .reconnect(&policy)
-            .expect_err("no broker: must give up");
-        let elapsed = started.elapsed();
-        assert!(err.is_transient(), "gave up on a transient error: {err}");
-        // Pin the give-up window: never before the budget is spent, and
-        // not much after it (at most one trailing attempt's timeout, plus
-        // generous CI slack).
-        assert!(
-            elapsed >= budget,
-            "gave up after {elapsed:?}, budget {budget:?}"
-        );
-        assert!(
-            elapsed < budget + Duration::from_secs(2),
-            "kept retrying long past the budget: {elapsed:?}"
-        );
     }
 
     /// Scripted deterministic fault: drops every datagram (both
@@ -2253,13 +2094,8 @@ mod tests {
         let gw = UdpBroker::spawn_from_file(addr, &path).unwrap();
         assert_eq!(gw.shards(), 4, "shard count comes from the file");
 
-        let policy = ReconnectPolicy {
-            initial_backoff: Duration::from_millis(50),
-            attempt_timeout: Duration::from_secs(1),
-            ..ReconnectPolicy::default()
-        };
-        sub.reconnect(&policy).unwrap();
-        publisher.reconnect(&policy).unwrap();
+        reconnect(&mut sub, Duration::from_secs(1));
+        reconnect(&mut publisher, Duration::from_secs(1));
         // Registration, subscription, AND the shared-registry id
         // assignment all survived the file trip: a cross-shard publish
         // still routes.

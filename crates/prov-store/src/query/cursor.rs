@@ -1,6 +1,6 @@
 //! Cursors: paginated, resumable query execution.
 //!
-//! A [`Cursor`] owns a compiled [`Path`](crate::query::Path) execution and
+//! A [`Cursor`] owns a compiled [`Path`] execution and
 //! no store references: every [`Cursor::next_page`] call is handed the
 //! store, does at most [`CursorOpts::max_work`] units of work, and
 //! returns. Against a [`ShardedStore`](crate::sharded::ShardedStore) the
@@ -88,7 +88,7 @@ pub struct Page {
     pub done: bool,
 }
 
-/// A paginated execution of a [`Path`](crate::query::Path) over one
+/// A paginated execution of a [`Path`] over one
 /// workflow.
 pub struct Cursor {
     workflow: Id,

@@ -5,7 +5,7 @@
 //! [`Step::Closure`] repeats an edge breadth-first up to a depth bound
 //! with a cycle guard (the engine's only unbounded-looking operation, and
 //! the one the guard makes terminate); a [`Step::Keep`] drops nodes that
-//! fail a [`Filter`](crate::query::Filter).
+//! fail a [`Filter`].
 
 use crate::query::filter::Filter;
 

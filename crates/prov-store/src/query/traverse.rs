@@ -1,6 +1,6 @@
 //! The traversal executor: a pull-based, budget-bounded stage machine.
 //!
-//! A [`Path`](crate::query::Path) compiles into one [`Exec`] — a source
+//! A [`Path`] compiles into one `Exec` — a source
 //! stage plus one op per step. Each stage pulls items from the stage
 //! before it on demand, so nothing is materialized beyond per-stage
 //! frontiers and the page being built: a closure over a million-node
@@ -9,14 +9,14 @@
 //! Every unit of work (scanning one source entry, expanding one node,
 //! evaluating one filter) costs one tick of a per-call *budget*. The
 //! budget is checked **before** stage-local work happens, so when it runs
-//! out the machine returns [`Pulled::Budget`] with all state intact — the
+//! out the machine returns `Pulled::Budget` with all state intact — the
 //! next call resumes exactly where this one stopped. That is what lets a
 //! cursor release its shard lock between pages without losing its place.
 //! (Charging an item pulled from upstream may overshoot the budget by at
 //! most the pipeline depth — a pulled item is always processed rather
 //! than dropped.)
 //!
-//! Termination: closures guard every expansion with an [`IdxSet`] visited
+//! Termination: closures guard every expansion with an `IdxSet` visited
 //! bitset and a depth bound, so cyclic derivation graphs (including
 //! self-loops, which ingest wires verbatim) terminate — the legacy
 //! recursive walk did not.

@@ -1,7 +1,7 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! Implements the slice of the proptest API the workspace's property tests
-//! use: the [`Strategy`] trait with `prop_map` / `prop_filter` /
+//! use: the [`Strategy`](strategy::Strategy) trait with `prop_map` / `prop_filter` /
 //! `prop_recursive` / `boxed`, `any::<T>()`, ranges and `&str`
 //! character-class patterns as strategies, `collection::vec`, tuple
 //! composition, `prop_oneof!`, and the `proptest!` test macro.
@@ -496,7 +496,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Length specification for [`vec`].
+    /// Length specification for [`vec()`].
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         min: usize,

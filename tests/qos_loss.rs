@@ -7,40 +7,22 @@
 //! QoS 1 delivers at least once.
 
 use provlight::mqtt_sn::broker::{Broker, BrokerConfig, BrokerOutputs};
-use provlight::mqtt_sn::client::{Client, ClientConfig, ClientEvent, Output};
-use provlight::mqtt_sn::packet::{Packet, QoS, TopicRef};
+use provlight::mqtt_sn::client::{Client, ClientConfig, ClientEvent, ClientOutputs};
+use provlight::mqtt_sn::packet::{QoS, TopicRef};
 use provlight::net_sim::loss::LossModel;
 use std::collections::VecDeque;
 use std::time::Duration;
 
-/// Decodes every datagram the broker produced, in emit order.
-fn decoded(out: &mut BrokerOutputs<u8>) -> Vec<(u8, Packet)> {
-    let mut sent = Vec::new();
-    out.emit(|to, bytes| sent.push((*to, Packet::decode(bytes).unwrap())));
-    sent
-}
-
-/// Runs one packet through the broker and decodes what it sends.
-fn feed(b: &mut Broker<u8>, now: u64, from: u8, p: Packet) -> Vec<(u8, Packet)> {
-    let mut out = BrokerOutputs::new();
-    b.on_packet_into(now, from, p, &mut out);
-    decoded(&mut out)
-}
-
-/// Runs one broker tick and decodes what it sends.
-fn feed_tick(b: &mut Broker<u8>, now: u64) -> Vec<(u8, Packet)> {
-    let mut out = BrokerOutputs::new();
-    b.on_tick_into(now, &mut out);
-    decoded(&mut out)
-}
-
 /// A virtual lossy network between one client and the broker.
 struct LossyWorld {
     client: Client,
+    client_out: ClientOutputs,
     broker: Broker<u8>,
+    broker_out: BrokerOutputs<u8>,
     loss: LossModel,
-    /// Packets in flight (direction, packet): direction true = to broker.
-    queue: VecDeque<(bool, Packet)>,
+    /// Datagrams in flight (direction, wire bytes): direction true = to
+    /// broker.
+    queue: VecDeque<(bool, Vec<u8>)>,
     now: u64,
     delivered: Vec<Vec<u8>>,
     done: Vec<u16>,
@@ -59,12 +41,14 @@ impl LossyWorld {
         config.max_retries = 50;
         LossyWorld {
             client: Client::new(config),
+            client_out: ClientOutputs::new(),
             broker: Broker::new(BrokerConfig {
                 gw_id: 1,
                 retry_timeout: Duration::from_millis(200),
                 max_retries: 50,
                 ..BrokerConfig::default()
             }),
+            broker_out: BrokerOutputs::new(),
             loss: LossModel::new(loss_probability, seed),
             queue: VecDeque::new(),
             now: 0,
@@ -76,51 +60,58 @@ impl LossyWorld {
         }
     }
 
-    fn dispatch_client(&mut self, outputs: Vec<Output>) {
-        for o in outputs {
-            match o {
-                Output::Send(p) => self.queue.push_back((true, p)),
-                Output::Event(ClientEvent::Message { payload, .. }) => self.delivered.push(payload),
-                Output::Event(ClientEvent::PublishDone { msg_id }) => self.done.push(msg_id),
-                Output::Event(ClientEvent::PublishFailed { msg_id }) => self.failed.push(msg_id),
-                Output::Event(ClientEvent::Registered { topic_id, .. }) => {
-                    self.registered = Some(topic_id)
-                }
-                Output::Event(ClientEvent::Subscribed { .. }) => self.subscribed = true,
-                Output::Event(_) => {}
+    /// Queues the datagrams the client emitted and records its events.
+    fn collect_client(&mut self) {
+        let queue = &mut self.queue;
+        self.client_out
+            .emit(|bytes| queue.push_back((true, bytes.to_vec())));
+        while let Some(event) = self.client_out.events.pop_front() {
+            match event {
+                ClientEvent::Message { payload, .. } => self.delivered.push(payload),
+                ClientEvent::PublishDone { msg_id } => self.done.push(msg_id),
+                ClientEvent::PublishFailed { msg_id } => self.failed.push(msg_id),
+                ClientEvent::Registered { topic_id, .. } => self.registered = Some(topic_id),
+                ClientEvent::Subscribed { .. } => self.subscribed = true,
+                _ => {}
             }
         }
+    }
+
+    /// Queues the datagrams the broker emitted.
+    fn collect_broker(&mut self) {
+        let queue = &mut self.queue;
+        self.broker_out
+            .emit(|_, bytes| queue.push_back((false, bytes.to_vec())));
+        self.broker_out.clear();
     }
 
     /// Runs the world until the queues drain and nothing is in flight, or
     /// a step budget is exhausted.
     fn settle(&mut self, max_steps: usize) {
         for _ in 0..max_steps {
-            // Wire: move packets, dropping per the loss model.
-            while let Some((to_broker, packet)) = self.queue.pop_front() {
-                // Encode/decode for wire fidelity.
-                let wire = packet.encode();
-                let packet = Packet::decode(&wire).expect("self-encoded packet");
+            // Wire: move datagrams, dropping per the loss model.
+            while let Some((to_broker, wire)) = self.queue.pop_front() {
                 if self.loss.should_drop() {
                     continue;
                 }
                 if to_broker {
-                    let outs = feed(&mut self.broker, self.now, CLIENT_ADDR, packet);
-                    for (_, p) in outs {
-                        self.queue.push_back((false, p));
-                    }
+                    self.broker
+                        .on_datagram_routed(self.now, CLIENT_ADDR, &wire, &mut self.broker_out)
+                        .expect("client-encoded datagram");
+                    self.collect_broker();
                 } else {
-                    let outs = self.client.on_packet(packet, self.now);
-                    self.dispatch_client(outs);
+                    self.client
+                        .on_datagram(&wire, self.now, &mut self.client_out)
+                        .expect("broker-encoded datagram");
+                    self.collect_client();
                 }
             }
             // Time passes; retransmission timers fire.
             self.now += TICK;
-            let outs = self.client.on_tick(self.now);
-            self.dispatch_client(outs);
-            for (_, p) in feed_tick(&mut self.broker, self.now) {
-                self.queue.push_back((false, p));
-            }
+            self.client.on_tick(self.now, &mut self.client_out);
+            self.collect_client();
+            self.broker.on_tick_into(self.now, &mut self.broker_out);
+            self.collect_broker();
             if self.queue.is_empty()
                 && self.client.inflight_len() == 0
                 && self.done.len() + self.failed.len() > 0
@@ -139,8 +130,8 @@ impl LossyWorld {
             if self.client.state() == provlight::mqtt_sn::ClientState::Connected {
                 break;
             }
-            let outs = self.client.connect(self.now);
-            self.dispatch_client(outs);
+            self.client.connect(self.now, &mut self.client_out);
+            self.collect_client();
             self.settle(10);
         }
         assert_eq!(
@@ -153,11 +144,15 @@ impl LossyWorld {
             if self.subscribed {
                 break;
             }
-            let (_, outs) = self
-                .client
-                .subscribe("loop/topic", QoS::ExactlyOnce, self.now)
+            self.client
+                .subscribe(
+                    "loop/topic",
+                    QoS::ExactlyOnce,
+                    self.now,
+                    &mut self.client_out,
+                )
                 .unwrap();
-            self.dispatch_client(outs);
+            self.collect_client();
             self.settle(10);
         }
         assert!(self.subscribed, "subscription must eventually succeed");
@@ -166,8 +161,10 @@ impl LossyWorld {
             if self.registered.is_some() {
                 break;
             }
-            let (_, outs) = self.client.register("loop/topic", self.now).unwrap();
-            self.dispatch_client(outs);
+            self.client
+                .register("loop/topic", self.now, &mut self.client_out)
+                .unwrap();
+            self.collect_client();
             self.settle(10);
         }
         self.registered
@@ -186,11 +183,17 @@ fn qos2_is_exactly_once_under_30pct_loss() {
             while !world.client.can_publish() {
                 world.settle(10);
             }
-            let (_, outs) = world
+            world
                 .client
-                .publish(TopicRef::Id(topic), vec![i], QoS::ExactlyOnce, world.now)
+                .publish(
+                    TopicRef::Id(topic),
+                    vec![i],
+                    QoS::ExactlyOnce,
+                    world.now,
+                    &mut world.client_out,
+                )
                 .unwrap();
-            world.dispatch_client(outs);
+            world.collect_client();
             world.settle(5);
         }
         world.settle(500);
@@ -221,11 +224,17 @@ fn qos1_delivers_at_least_once_under_loss() {
         while !world.client.can_publish() {
             world.settle(10);
         }
-        let (_, outs) = world
+        world
             .client
-            .publish(TopicRef::Id(topic), vec![i], QoS::AtLeastOnce, world.now)
+            .publish(
+                TopicRef::Id(topic),
+                vec![i],
+                QoS::AtLeastOnce,
+                world.now,
+                &mut world.client_out,
+            )
             .unwrap();
-        world.dispatch_client(outs);
+        world.collect_client();
         world.settle(5);
     }
     world.settle(500);
@@ -249,11 +258,17 @@ fn broker_restart_fresh_state_resumes_and_redelivers() {
 
     // Healthy phase: 3 QoS 2 publishes complete.
     for i in 0..3u8 {
-        let (_, outs) = world
+        world
             .client
-            .publish(TopicRef::Id(topic), vec![i], QoS::ExactlyOnce, world.now)
+            .publish(
+                TopicRef::Id(topic),
+                vec![i],
+                QoS::ExactlyOnce,
+                world.now,
+                &mut world.client_out,
+            )
             .unwrap();
-        world.dispatch_client(outs);
+        world.collect_client();
         world.settle(5);
     }
     world.settle(50);
@@ -263,11 +278,17 @@ fn broker_restart_fresh_state_resumes_and_redelivers() {
     // Outage: every datagram is lost while the client keeps publishing.
     world.loss = LossModel::new(1.0, 1);
     for i in 3..6u8 {
-        let (_, outs) = world
+        world
             .client
-            .publish(TopicRef::Id(topic), vec![i], QoS::ExactlyOnce, world.now)
+            .publish(
+                TopicRef::Id(topic),
+                vec![i],
+                QoS::ExactlyOnce,
+                world.now,
+                &mut world.client_out,
+            )
             .unwrap();
-        world.dispatch_client(outs);
+        world.collect_client();
         world.settle(3);
     }
     assert_eq!(world.client.inflight_len(), 3);
@@ -289,8 +310,8 @@ fn broker_restart_fresh_state_resumes_and_redelivers() {
     // Network restored; the client reconnects and resumes its session.
     world.loss = LossModel::new(0.0, 2);
     let old_topic_id = topic;
-    let outs = world.client.reconnect(world.now);
-    world.dispatch_client(outs);
+    world.client.reconnect(world.now, &mut world.client_out);
+    world.collect_client();
     world.settle(100);
 
     assert!(world.client.resume_complete(), "resumption must finish");
@@ -320,17 +341,27 @@ fn broker_restart_fresh_state_resumes_and_redelivers() {
 fn broker_restart_during_qos2_handshake_stays_exactly_once() {
     let mut world = LossyWorld::new(0.0, 11);
     let topic = world.connect_and_subscribe();
-    let (_, outs) = world
+    world
         .client
-        .publish(TopicRef::Id(topic), vec![42], QoS::ExactlyOnce, world.now)
+        .publish(
+            TopicRef::Id(topic),
+            vec![42],
+            QoS::ExactlyOnce,
+            world.now,
+            &mut world.client_out,
+        )
         .unwrap();
-    world.dispatch_client(outs);
+    world.collect_client();
     // Deliver the PUBLISH to the broker but lose everything it answers:
     // the broker forwarded and remembers the msg id; the client never saw
     // its PUBREC.
-    while let Some((to_broker, packet)) = world.queue.pop_front() {
+    while let Some((to_broker, wire)) = world.queue.pop_front() {
         if to_broker {
-            let _lost = feed(&mut world.broker, world.now, CLIENT_ADDR, packet);
+            world
+                .broker
+                .on_datagram_routed(world.now, CLIENT_ADDR, &wire, &mut world.broker_out)
+                .unwrap();
+            world.broker_out.clear();
         }
     }
     assert_eq!(world.client.inflight_len(), 1);
@@ -341,8 +372,8 @@ fn broker_restart_during_qos2_handshake_stays_exactly_once() {
     let persisted = world.broker.clone();
     world.broker = persisted;
 
-    let outs = world.client.reconnect(world.now);
-    world.dispatch_client(outs);
+    world.client.reconnect(world.now, &mut world.client_out);
+    world.collect_client();
     world.settle(300);
 
     assert!(world.client.resume_complete());
@@ -360,11 +391,17 @@ fn lossless_channel_never_retransmits() {
     let mut world = LossyWorld::new(0.0, 0);
     let topic = world.connect_and_subscribe();
     for i in 0..5u8 {
-        let (_, outs) = world
+        world
             .client
-            .publish(TopicRef::Id(topic), vec![i], QoS::ExactlyOnce, world.now)
+            .publish(
+                TopicRef::Id(topic),
+                vec![i],
+                QoS::ExactlyOnce,
+                world.now,
+                &mut world.client_out,
+            )
             .unwrap();
-        world.dispatch_client(outs);
+        world.collect_client();
         world.settle(3);
     }
     world.settle(100);

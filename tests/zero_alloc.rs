@@ -227,7 +227,7 @@ fn steady_state_broker_forwarding_allocates_zero_per_packet() {
     let mut cycle = |broker: &mut Broker<u32>, out: &mut BrokerOutputs<u32>, now: u64| {
         out.clear();
         broker
-            .on_datagram_into(now, publisher, &publish_wire, out)
+            .on_datagram_routed(now, publisher, &publish_wire, out)
             .unwrap();
         let mut fwd_msg_id = 0u16;
         let mut datagrams = 0usize;
@@ -250,7 +250,7 @@ fn steady_state_broker_forwarding_allocates_zero_per_packet() {
         .encode_into(&mut ack_wire);
         out.clear();
         broker
-            .on_datagram_into(now, qos1_sub, &ack_wire, out)
+            .on_datagram_routed(now, qos1_sub, &ack_wire, out)
             .unwrap();
         assert!(out.is_empty());
     };
@@ -418,6 +418,98 @@ fn steady_state_cross_shard_forwarding_allocates_zero_per_packet() {
     assert_eq!(shard0.stats().cross_shard_forwards, 64 + iterations);
     assert_eq!(shard1.stats().publishes_out, 64 + iterations);
     assert_eq!(shard1.stats().publishes_in, 0, "delivery is not re-ingest");
+}
+
+/// Client steady state: one QoS 2 publish through its whole handshake
+/// against a scripted peer — PUBLISH out, PUBREC in, PUBREL out, PUBCOMP
+/// in, `PublishDone` — plus a timer tick with nothing due must perform
+/// **zero** heap allocations once the payload pool and the output buffers
+/// are warm. The peer's replies are pre-encoded into one reused buffer, so
+/// no broker work is in the count.
+#[test]
+fn steady_state_client_qos2_publish_allocates_zero() {
+    use provlight::mqtt_sn::client::{Client, ClientConfig, ClientEvent, ClientOutputs};
+    use provlight::mqtt_sn::packet::{PacketRef, QoS, ReturnCode, TopicRef};
+
+    let mut client = Client::new(ClientConfig::new("edge"));
+    let mut out = ClientOutputs::new();
+    client.connect(0, &mut out);
+    let connack = Packet::ConnAck {
+        code: ReturnCode::Accepted,
+    }
+    .encode();
+    client.on_datagram(&connack, 0, &mut out).unwrap();
+    out.emit(|_| {});
+    assert_eq!(out.events.pop_front(), Some(ClientEvent::Connected));
+
+    let mut peer_wire = Vec::new();
+    let mut cycle = |client: &mut Client, out: &mut ClientOutputs, now: u64| {
+        let mut payload = client.take_spare_payload().unwrap_or_default();
+        payload.extend_from_slice(&[0x5c; 100]);
+        let msg_id = client
+            .publish(TopicRef::Id(1), payload, QoS::ExactlyOnce, now, out)
+            .unwrap();
+        let mut publishes = 0usize;
+        out.emit(
+            |bytes| match Packet::decode_borrowed(bytes).expect("client-encoded") {
+                PacketRef::Publish {
+                    msg_id: m, payload, ..
+                } => {
+                    assert_eq!((m, payload.len()), (msg_id, 100));
+                    publishes += 1;
+                }
+                p => panic!("unexpected {p:?}"),
+            },
+        );
+        assert_eq!(publishes, 1);
+
+        peer_wire.clear();
+        Packet::PubRec { msg_id }.encode_into(&mut peer_wire);
+        client.on_datagram(&peer_wire, now, out).unwrap();
+        let mut pubrels = 0usize;
+        out.emit(|bytes| {
+            assert_eq!(
+                Packet::decode_borrowed(bytes),
+                Ok(PacketRef::Owned(Packet::PubRel { msg_id }))
+            );
+            pubrels += 1;
+        });
+        assert_eq!(pubrels, 1);
+
+        // Mid-handshake, nothing is due for retransmission or keep-alive.
+        client.on_tick(now, out);
+        out.emit(|bytes| panic!("idle tick sent {bytes:?}"));
+
+        peer_wire.clear();
+        Packet::PubComp { msg_id }.encode_into(&mut peer_wire);
+        client.on_datagram(&peer_wire, now, out).unwrap();
+        out.emit(|bytes| panic!("PUBCOMP answered with {bytes:?}"));
+        assert_eq!(
+            out.events.pop_front(),
+            Some(ClientEvent::PublishDone { msg_id })
+        );
+        assert!(out.events.is_empty());
+    };
+
+    // Warmup: size the payload pool, the wire and datagram buffers, the
+    // event queue, and the in-flight map.
+    for i in 0..64u64 {
+        cycle(&mut client, &mut out, 1 + i);
+    }
+
+    let iterations = 4096u64;
+    let before = allocations();
+    for i in 0..iterations {
+        cycle(&mut client, &mut out, 65 + i);
+    }
+    let allocs = allocations() - before;
+    assert!(
+        allocs == 0,
+        "steady state performed {allocs} allocations over {iterations} QoS 2 publishes \
+         ({:.4} allocs/publish); client publish path must be allocation-free",
+        allocs as f64 / iterations as f64
+    );
+    assert_eq!(client.inflight_len(), 0);
 }
 
 /// Encoding into a fresh `Vec` per call, measured the same way, is
